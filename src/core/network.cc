@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -20,7 +22,7 @@ namespace {
 
 /**
  * How often (in cycles, a power of two) a busy router is probed with
- * idle() so it can leave the active set. See sweepActive().
+ * idle() so it can leave the wake set. See sweep().
  */
 constexpr Cycle kIdleProbePeriod = 8;
 static_assert((kIdleProbePeriod & (kIdleProbePeriod - 1)) == 0 &&
@@ -83,6 +85,28 @@ constexpr std::array<Counter NetworkStats::*, 28> kNetworkCounters = {
     &NetworkStats::retryDuplicatesSuppressed,
 };
 
+/**
+ * First id in [id, end) whose wake flag is set, or `end`. Skips idle
+ * stretches eight flags per load.
+ */
+NodeId
+nextAwake(const std::uint8_t* flags, NodeId id, NodeId end)
+{
+    for (; id + 8 <= end; id += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, flags + id, sizeof(word));
+        if (word != 0) {
+            const int bit = std::endian::native == std::endian::little
+                                ? std::countr_zero(word)
+                                : std::countl_zero(word);
+            return id + static_cast<NodeId>(bit / 8);
+        }
+    }
+    while (id < end && flags[id] == 0)
+        ++id;
+    return id;
+}
+
 /** Fold every Counter of `from` into `into` and zero `from`. */
 void
 foldCounters(NetworkStats& into, NetworkStats& from)
@@ -136,8 +160,7 @@ Network::Wave::empty() const
 Network::Network(const SimConfig& cfg) : cfg_(cfg)
 {
     cfg_.validate();
-    activeSched_ = cfg_.sched != SchedulerKind::Sweep;
-    eventSched_ = cfg_.sched == SchedulerKind::Event;
+    forceWake_ = cfg_.sched == SchedulerKind::Sweep;
     // Events mature at most channelLatency cycles out (+1 for "next
     // cycle" staging, +1 because the current bucket is in use); round
     // the bucket count up to a power of two so waveIn()/deliver()
@@ -195,7 +218,7 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
             ++shard;
         // Counters accumulate in the owning shard's block (folded
         // into stats_ every sweep); with one shard that block IS
-        // stats_ and the deferred-stats outboxes stay disabled.
+        // stats_.
         NetworkStats* blk =
             shards_ > 1 ? shardStats_[shard].get() : &stats_;
         routers_.push_back(std::make_unique<Router>(
@@ -203,13 +226,8 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
             *routerPool_, id));
         injectors_.push_back(std::make_unique<Injector>(
             id, cfg_, *topo_, *routing_, blk, root.fork()));
-        injectors_.back()->setFailureSink(this);
-        receivers_.push_back(std::make_unique<Receiver>(
-            id, cfg_, blk, this));
-        if (shards_ > 1) {
-            injectors_.back()->setDeferStats(true);
-            receivers_.back()->setDeferStats(true);
-        }
+        receivers_.push_back(
+            std::make_unique<Receiver>(id, cfg_, blk));
     }
 
     // Pre-size the hot-path containers so the steady state never
@@ -241,7 +259,16 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
     }
     // Everything starts asleep: at cycle 0 every component is idle,
     // and generate()/sendMessage()/deliver() wake whoever gets work.
+    for (ShardCtx& ctx : shardCtx_) {
+        const std::size_t range = ctx.end - ctx.begin;
+        ctx.injWork.reserve(range);
+        ctx.rtrWork.reserve(range);
+        ctx.rcvWork.reserve(range);
+        ctx.audit.kills.reserve(16);
+    }
 
+    // One shard runs inline on the calling thread; only more than one
+    // needs the worker pool and its barrier telemetry.
     if (shards_ > 1) {
         shardPool_ = std::make_unique<ThreadPool>(shards_);
         Telemetry& reg = Telemetry::instance();
@@ -251,12 +278,6 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
         for (unsigned s = 0; s < shards_; ++s) {
             shardTickGauges_.push_back(reg.gauge(
                 "sched.shard_ticks." + std::to_string(s)));
-            ShardCtx& ctx = shardCtx_[s];
-            const std::size_t range = ctx.end - ctx.begin;
-            ctx.injWork.reserve(range);
-            ctx.rtrWork.reserve(range);
-            ctx.rcvWork.reserve(range);
-            ctx.audit.kills.reserve(16);
         }
     }
 
@@ -311,33 +332,6 @@ Network::Wave&
 Network::waveIn(Cycle delay)
 {
     return buckets_[(now_ + delay) & bucketMask_];
-}
-
-void
-Network::wakeInjector(NodeId id)
-{
-    if (injAwake_[id] == 0) {
-        injAwake_[id] = 1;
-        ++injAwakeN_;
-    }
-}
-
-void
-Network::wakeRouter(NodeId id)
-{
-    if (rtrAwake_[id] == 0) {
-        rtrAwake_[id] = 1;
-        ++rtrAwakeN_;
-    }
-}
-
-void
-Network::wakeReceiver(NodeId id)
-{
-    if (rcvAwake_[id] == 0) {
-        rcvAwake_[id] = 1;
-        ++rcvAwakeN_;
-    }
 }
 
 void
@@ -691,164 +685,94 @@ Network::activityLevel() const
            stats_.flitsConsumed.value();
 }
 
-void
-Network::sweepAll()
-{
-    const NodeId n = topo_->numNodes();
-    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
-    for (NodeId id = 0; id < n; ++id) {
-        injectors_[id]->tick(now_);
-        collectInjector(id);
-    }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Injectors, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        routers_[id]->tick(now_);
-        collectRouter(id);
-    }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        receivers_[id]->tick(now_);
-        collectReceiver(id);
-    }
-    if (profTimed_)
-        prof_->add(TickPhase::Receivers, TickProfiler::stamp() - pt);
-}
-
-void
-Network::sweepActive()
-{
-    // A component's flag is cleared before its tick; the only wake a
-    // tick can raise is its own re-registration (all cross-component
-    // wakes happen at delivery time, next cycle), so clearing in
-    // place is safe and the node-order scan matches the exhaustive
-    // sweep's tick order exactly. Sleeping components contribute
-    // nothing in either mode — ticking an idle component is a no-op.
-    const NodeId n = topo_->numNodes();
-    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
-    for (NodeId id = 0; id < n; ++id) {
-        if (injAwake_[id] == 0)
-            continue;
-        injAwake_[id] = 0;
-        --injAwakeN_;
-        injectors_[id]->tick(now_);
-        collectInjector(id);
-        scheduleInjector(id, injectors_[id]->nextEventCycle(now_));
-    }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Injectors, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        if (rtrAwake_[id] == 0)
-            continue;
-        routers_[id]->tick(now_);
-        collectRouter(id);
-        // Routers have no future-only deadlines: any held flit,
-        // allocation or pending kill needs the very next tick, so a
-        // ticked router is assumed still busy. Probing idle() every
-        // cycle would re-scan every input VC and cost more than the
-        // skipped ticks save; instead busy routers are only probed
-        // for sleep on coarse boundaries (over-waking is harmless —
-        // a router lingers awake for at most kIdleProbePeriod - 1
-        // no-op ticks after its last flit leaves, and the event
-        // scheduler's tryEnterQuiet() probes lingerers immediately
-        // once the rest of the network sleeps).
-        if ((now_ & (kIdleProbePeriod - 1)) == 0 &&
-            routers_[id]->idle()) {
-            rtrAwake_[id] = 0;
-            --rtrAwakeN_;
-        }
-    }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        if (rcvAwake_[id] == 0)
-            continue;
-        rcvAwake_[id] = 0;
-        --rcvAwakeN_;
-        receivers_[id]->tick(now_);
-        collectReceiver(id);
-        scheduleReceiver(id, receivers_[id]->nextEventCycle(now_));
-    }
-    if (profTimed_)
-        prof_->add(TickPhase::Receivers, TickProfiler::stamp() - pt);
-}
-
-// --- Sharded sweeps ----------------------------------------------------
+// --- The cycle loop ----------------------------------------------------
 //
 // Determinism argument (docs/PERFORMANCE.md has the long form): the
-// parallel phase runs only component ticks, whose cross-component
+// compute phase runs only component ticks, whose cross-component
 // effects are all staged — wave pushes through per-component outboxes
-// (collected serially afterwards), sink/ledger callbacks and Welford
+// (collected serially afterwards), ledger updates and Welford
 // accumulator adds through the deferred-stats outboxes, trace records
 // through per-shard staging buffers, audit conservation deltas through
 // per-thread stages. Counters are commutative and land in per-shard
 // blocks. Every order-sensitive replay below iterates shard-major over
-// contiguous ascending ranges, i.e. in global node order — exactly the
-// serial sweep's order — so stats, traces, wave contents, heap layouts
-// and snapshots are byte-identical to shards=1.
+// contiguous ascending ranges, i.e. in global node order, so stats,
+// traces, wave contents, heap layouts and snapshots are byte-identical
+// at every shard count.
 
 void
-Network::shardWorker(unsigned s, bool from_work_lists)
+Network::shardWorker(unsigned s)
 {
     ShardCtx& ctx = shardCtx_[s];
+    // Locals, so the scans below need not reload them after every
+    // (opaque) component tick.
+    const NodeId begin = ctx.begin, end = ctx.end;
+    const Cycle now = now_;
+    std::uint8_t* const injAwake = injAwake_.data();
+    std::uint8_t* const rtrAwake = rtrAwake_.data();
+    std::uint8_t* const rcvAwake = rcvAwake_.data();
+    if (forceWake_) {
+        std::fill(injAwake + begin, injAwake + end, 1);
+        std::fill(rtrAwake + begin, rtrAwake + end, 1);
+        std::fill(rcvAwake + begin, rcvAwake + end, 1);
+    }
+    ctx.injWork.clear();
+    ctx.rtrWork.clear();
+    ctx.rcvWork.clear();
     Auditor::setThreadStage(&ctx.audit);
     const bool tracing = trace_ != nullptr;
+    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
+    const auto stampPhase = [&](std::size_t phase) {
+        if (profTimed_) {
+            const std::uint64_t t = TickProfiler::stamp();
+            ctx.phaseNanos[phase] += t - pt;
+            pt = t;
+        }
+    };
+
+    // Flags are only ever touched by this range's own worker during
+    // the compute phase (wakes happen in the serial delivery and
+    // finish steps), so the scan is race-free. An injector/receiver
+    // flag is cleared as it is picked up: a tick's only wake is its
+    // own re-registration, applied in the finish step. Router flags
+    // stay set until the finish step's idle probe clears them.
     if (tracing)
         Tracer::setThreadStage(&ctx.injTrace);
-    std::uint64_t ticked = 0;
-    if (from_work_lists) {
-        for (const NodeId id : ctx.injWork)
-            injectors_[id]->tick(now_);
-        if (tracing)
-            Tracer::setThreadStage(&ctx.rtrTrace);
-        for (const NodeId id : ctx.rtrWork)
-            routers_[id]->tick(now_);
-        if (tracing)
-            Tracer::setThreadStage(&ctx.rcvTrace);
-        for (const NodeId id : ctx.rcvWork)
-            receivers_[id]->tick(now_);
-        ticked = ctx.injWork.size() + ctx.rtrWork.size() +
-                 ctx.rcvWork.size();
-    } else {
-        for (NodeId id = ctx.begin; id < ctx.end; ++id)
-            injectors_[id]->tick(now_);
-        if (tracing)
-            Tracer::setThreadStage(&ctx.rtrTrace);
-        for (NodeId id = ctx.begin; id < ctx.end; ++id)
-            routers_[id]->tick(now_);
-        if (tracing)
-            Tracer::setThreadStage(&ctx.rcvTrace);
-        for (NodeId id = ctx.begin; id < ctx.end; ++id)
-            receivers_[id]->tick(now_);
-        ticked = static_cast<std::uint64_t>(ctx.end - ctx.begin) * 3;
+    for (NodeId id = nextAwake(injAwake, begin, end); id < end;
+         id = nextAwake(injAwake, id + 1, end)) {
+        injAwake[id] = 0;
+        ctx.injWork.push_back(id);
+        injectors_[id]->tick(now);
     }
-    ctx.ticks += ticked;
+    stampPhase(0);
+    if (tracing)
+        Tracer::setThreadStage(&ctx.rtrTrace);
+    for (NodeId id = nextAwake(rtrAwake, begin, end); id < end;
+         id = nextAwake(rtrAwake, id + 1, end)) {
+        ctx.rtrWork.push_back(id);
+        routers_[id]->tick(now);
+    }
+    stampPhase(1);
+    if (tracing)
+        Tracer::setThreadStage(&ctx.rcvTrace);
+    for (NodeId id = nextAwake(rcvAwake, begin, end); id < end;
+         id = nextAwake(rcvAwake, id + 1, end)) {
+        rcvAwake[id] = 0;
+        ctx.rcvWork.push_back(id);
+        receivers_[id]->tick(now);
+    }
+    stampPhase(2);
+    ctx.ticks +=
+        ctx.injWork.size() + ctx.rtrWork.size() + ctx.rcvWork.size();
     if (tracing)
         Tracer::setThreadStage(nullptr);
     Auditor::setThreadStage(nullptr);
 }
 
 void
-Network::runShardBarrier(bool from_work_lists)
+Network::runShardBarrier()
 {
-    for (unsigned s = 0; s < shards_; ++s) {
-        shardPool_->submit([this, s, from_work_lists] {
-            shardWorker(s, from_work_lists);
-        });
-    }
+    for (unsigned s = 0; s < shards_; ++s)
+        shardPool_->submit([this, s] { shardWorker(s); });
     const std::uint64_t w0 = WallTimer::nanos();
     shardPool_->wait();
     shardBarrierNanos_->fetch_add(WallTimer::nanos() - w0,
@@ -874,7 +798,7 @@ Network::drainShardSidecars()
 #endif
     if (trace_ == nullptr)
         return;
-    // Phase-major, shard-minor = the serial recording order. The
+    // Phase-major, shard-minor = node order within each phase. The
     // replay re-enters record() with no stage installed, so the watch
     // filter (whose pair-adoption mutates watchedMsgs_) runs in
     // deterministic order; Tracer::now_ is constant through the cycle,
@@ -905,9 +829,12 @@ Network::drainInjectorOutboxes(Injector& inj)
 {
     // Within one injector tick every give-up precedes every commit
     // (retry/timeout processing runs before injectFlits), so draining
-    // the failure outbox first reproduces the serial callback order.
-    for (const FailedMessage& f : inj.failed)
-        onMessageFailed(f.msg, f.at);
+    // the failure outbox first keeps the ledger/accumulator order of
+    // the tick itself.
+    if (ledger_ != nullptr) {
+        for (const FailedMessage& f : inj.failed)
+            ledger_->onRefused(f.msg, f.at);
+    }
     for (const CommittedSample& c : inj.committedStats) {
         stats_.attempts.add(c.attempts);
         stats_.padOverhead.add(c.padFrac);
@@ -918,8 +845,8 @@ void
 Network::drainReceiverOutboxes(Receiver& rcv)
 {
     for (const DeliveredMessage& d : rcv.deliveries) {
-        // Exactly commitDelivery()'s direct-mode tail, per delivery:
-        // accumulator adds, then the sink callback.
+        // Per delivery: accumulator adds, then the ledger and the
+        // explicit-send record.
         if (d.measured) {
             const auto total =
                 static_cast<double>(d.deliveredAt - d.createdAt);
@@ -928,89 +855,42 @@ Network::drainReceiverOutboxes(Receiver& rcv)
             stats_.netLatency.add(static_cast<double>(
                 d.deliveredAt - d.headInjectedAt));
         }
-        onDelivered(d);
+        if (ledger_ != nullptr)
+            ledger_->onDelivered(d);
+        auto it = manualPending_.find(d.id);
+        if (it != manualPending_.end()) {
+            manualDelivered_[d.id] = d;
+            manualPending_.erase(it);
+        }
     }
 }
 
 void
-Network::sweepAllSharded()
+Network::sweep()
 {
-    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
-    runShardBarrier(false);
+    if (shardPool_ != nullptr)
+        runShardBarrier();
+    else
+        shardWorker(0);
     drainShardSidecars();
-    if (profTimed_) {
-        // The fused parallel section (plus sidecar replay) is
-        // attributed to the router phase; the serial per-phase
-        // finish loops time themselves below.
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
-    const NodeId n = topo_->numNodes();
-    for (NodeId id = 0; id < n; ++id) {
-        drainInjectorOutboxes(*injectors_[id]);
-        collectInjector(id);
-    }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Injectors, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id)
-        collectRouter(id);
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        drainReceiverOutboxes(*receivers_[id]);
-        collectReceiver(id);
-    }
-    foldShardCounters();
-    if (profTimed_)
-        prof_->add(TickPhase::Receivers, TickProfiler::stamp() - pt);
-}
 
-void
-Network::sweepActiveSharded()
-{
+    // Serial finish, node order: drain the deferred stats, stage the
+    // components' output into the waves, re-arm their wake state.
+    // Profiled ticks book each phase's tick time (summed over shards)
+    // plus its share of this finish.
     std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
-    // Serial flag scan, node order: exactly sweepActive()'s clearing
-    // discipline — injector/receiver flags cleared up front (a tick's
-    // only wake is its own re-registration, applied in the finish
-    // loops below), router flags left set until the idle probe.
-    const NodeId n = topo_->numNodes();
-    unsigned s = 0;
-    for (ShardCtx& ctx : shardCtx_) {
-        ctx.injWork.clear();
-        ctx.rtrWork.clear();
-        ctx.rcvWork.clear();
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        while (id >= shardCtx_[s].end)
-            ++s;
-        ShardCtx& ctx = shardCtx_[s];
-        if (injAwake_[id] != 0) {
-            injAwake_[id] = 0;
-            --injAwakeN_;
-            ctx.injWork.push_back(id);
-        }
-        if (rtrAwake_[id] != 0)
-            ctx.rtrWork.push_back(id);
-        if (rcvAwake_[id] != 0) {
-            rcvAwake_[id] = 0;
-            --rcvAwakeN_;
-            ctx.rcvWork.push_back(id);
-        }
-    }
-    runShardBarrier(true);
-    drainShardSidecars();
-    if (profTimed_) {
+    const auto bookPhase = [&](TickPhase phase, std::size_t k) {
+        if (!profTimed_)
+            return;
         const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
+        std::uint64_t nanos = t - pt;
+        for (ShardCtx& ctx : shardCtx_) {
+            nanos += ctx.phaseNanos[k];
+            ctx.phaseNanos[k] = 0;
+        }
+        prof_->add(phase, nanos);
         pt = t;
-    }
+    };
     for (const ShardCtx& ctx : shardCtx_) {
         for (const NodeId id : ctx.injWork) {
             drainInjectorOutboxes(*injectors_[id]);
@@ -1018,26 +898,24 @@ Network::sweepActiveSharded()
             scheduleInjector(id, injectors_[id]->nextEventCycle(now_));
         }
     }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Injectors, t - pt);
-        pt = t;
-    }
+    bookPhase(TickPhase::Injectors, 0);
+    // Routers have no future-only deadlines: any held flit,
+    // allocation or pending kill needs the very next tick, so a
+    // ticked router is assumed still busy. Probing idle() every cycle
+    // would re-scan every input VC and cost more than the skipped
+    // ticks save; instead busy routers are only probed for sleep on
+    // coarse boundaries (over-waking is harmless — a router lingers
+    // awake for at most kIdleProbePeriod - 1 no-op ticks after its
+    // last flit leaves).
     const bool probe = (now_ & (kIdleProbePeriod - 1)) == 0;
     for (const ShardCtx& ctx : shardCtx_) {
         for (const NodeId id : ctx.rtrWork) {
             collectRouter(id);
-            if (probe && routers_[id]->idle()) {
+            if (probe && routers_[id]->idle())
                 rtrAwake_[id] = 0;
-                --rtrAwakeN_;
-            }
         }
     }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
+    bookPhase(TickPhase::Routers, 1);
     for (const ShardCtx& ctx : shardCtx_) {
         for (const NodeId id : ctx.rcvWork) {
             drainReceiverOutboxes(*receivers_[id]);
@@ -1046,8 +924,7 @@ Network::sweepActiveSharded()
         }
     }
     foldShardCounters();
-    if (profTimed_)
-        prof_->add(TickPhase::Receivers, TickProfiler::stamp() - pt);
+    bookPhase(TickPhase::Receivers, 2);
 }
 
 void
@@ -1065,8 +942,7 @@ Network::tick()
         trace_->beginCycle(now_);
     if (dynamicFaults_ && schedule_ != nullptr)
         applyFaultEvents();
-    if (activeSched_)
-        popDueDeadlines();
+    popDueDeadlines();
     deliver();
     if (profTimed_) {
         // Cycle-open bookkeeping (faults, deadlines, trace) rides
@@ -1076,16 +952,10 @@ Network::tick()
         pt = t;
     }
     generate();
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Generate, t - pt);
-        pt = t;
-    }
+    if (profTimed_)
+        prof_->add(TickPhase::Generate, TickProfiler::stamp() - pt);
 
-    if (activeSched_)
-        shards_ > 1 ? sweepActiveSharded() : sweepActive();
-    else
-        shards_ > 1 ? sweepAllSharded() : sweepAll();
+    sweep();
 
     const std::uint64_t level = activityLevel();
     if (level != lastActivityLevel_) {
@@ -1130,27 +1000,18 @@ void
 Network::sampleGauges(std::uint64_t& in_flight,
                       std::uint64_t& buffered) const
 {
+    // Post-sweep, the wake flags mark every component re-armed for
+    // the next cycle — which covers every nonzero gauge: a sleeping
+    // injector has no active worm, and sleeping routers/receivers
+    // buffer nothing (buffered flits always demand the next tick).
     const NodeId n = topo_->numNodes();
-    if (activeSched_) {
-        // Post-sweep, the wake flags mark every component re-armed
-        // for the next cycle — which covers every nonzero gauge: a
-        // sleeping injector has no active worm, and sleeping
-        // routers/receivers buffer nothing (buffered flits always
-        // demand the next tick).
-        for (NodeId id = 0; id < n; ++id) {
-            if (injAwake_[id] != 0)
-                in_flight += injectors_[id]->activeWorms();
-            if (rtrAwake_[id] != 0)
-                buffered += routers_[id]->bufferedFlits();
-            if (rcvAwake_[id] != 0)
-                buffered += receivers_[id]->bufferedFlits();
-        }
-    } else {
-        for (NodeId id = 0; id < n; ++id) {
+    for (NodeId id = 0; id < n; ++id) {
+        if (injAwake_[id] != 0)
             in_flight += injectors_[id]->activeWorms();
+        if (rtrAwake_[id] != 0)
             buffered += routers_[id]->bufferedFlits();
+        if (rcvAwake_[id] != 0)
             buffered += receivers_[id]->bufferedFlits();
-        }
     }
 }
 
@@ -1382,146 +1243,8 @@ Network::runAuditSweep()
 void
 Network::run(Cycle n)
 {
-    if (!eventSched_) {
-        for (Cycle i = 0; i < n; ++i)
-            tick();
-        return;
-    }
-    const Cycle end = now_ + n;
-    while (now_ < end) {
-        if (tryEnterQuiet())
-            runQuietSpan(end);
-        else
-            tick();
-    }
-}
-
-bool
-Network::tryEnterQuiet()
-{
-    // Cheapest checks first: the counters and heap tops are O(1) and
-    // reject almost every busy cycle before the O(n) router probe.
-    if (injAwakeN_ != 0 || rcvAwakeN_ != 0)
-        return false;
-    // A deadline or fault event due this very cycle belongs to
-    // tick(), not to a span.
-    if (!injDeadlines_.empty() && injDeadlines_.top().first <= now_)
-        return false;
-    if (!rcvDeadlines_.empty() && rcvDeadlines_.top().first <= now_)
-        return false;
-    if (dynamicFaults_ && schedule_ != nullptr &&
-        schedule_->nextEventCycle() <= now_)
-        return false;
-    // In-flight events still maturing in the wave rings demand their
-    // delivery cycles.
-    for (const Wave& w : buckets_)
-        if (!w.empty())
-            return false;
-    if (rtrAwakeN_ != 0) {
-        // Only routers linger. sweepActive() probes them with idle()
-        // on coarse boundaries to bound its per-cycle cost; here the
-        // rest of the network is already asleep, so probe right away
-        // — clearing an idle router elides the same no-op ticks, just
-        // without waiting out the probe period.
-        const NodeId n = topo_->numNodes();
-        for (NodeId id = 0; id < n && rtrAwakeN_ != 0; ++id) {
-            if (rtrAwake_[id] != 0 && routers_[id]->idle()) {
-                rtrAwake_[id] = 0;
-                --rtrAwakeN_;
-            }
-        }
-        if (rtrAwakeN_ != 0)
-            return false;
-    }
-    return true;
-}
-
-void
-Network::runQuietSpan(Cycle end)
-{
-    // Earliest cycle at which anything can happen again: a sleeping
-    // component's deadline, a scheduled fault event, or the deadlock
-    // watchdog's crossing cycle. State is frozen across the span, so
-    // everything below fires at exactly the cycle the per-cycle
-    // schedulers would reach it.
-    Cycle limit = end;
-    if (!injDeadlines_.empty())
-        limit = std::min(limit, injDeadlines_.top().first);
-    if (!rcvDeadlines_.empty())
-        limit = std::min(limit, rcvDeadlines_.top().first);
-    if (dynamicFaults_ && schedule_ != nullptr)
-        limit = std::min(limit, schedule_->nextEventCycle());
-    if (dynamicFaults_ && !forensicsDumped_ && !quiescent()) {
-        // The watchdog trips on the first cycle with
-        // now_ - lastActivity_ > deadlockThreshold; the one-shot
-        // forensics dump must run under that same now_.
-        limit = std::min(limit,
-                         lastActivity_ + cfg_.deadlockThreshold + 1);
-    }
-    if (limit <= now_) {
+    for (Cycle i = 0; i < n; ++i)
         tick();
-        return;
-    }
-
-    // Quiet spans are timed whole (batched draws + boundary walk) and
-    // attributed to the profiler's quiet phase; the trailing tick()
-    // times itself.
-    const std::uint64_t q0 =
-        prof_ != nullptr ? TickProfiler::stamp() : 0;
-
-    // Arrival-free prefix of [now_, limit): the generator consumes
-    // exactly the per-cycle draw stream for the quiet cycles and
-    // rewinds to the start of the first cycle with an arrival, so the
-    // tick() below redraws that cycle bit-identically.
-    const Cycle quiet = trafficEnabled_
-        ? generator_->quietCycles(limit - now_)
-        : limit - now_;
-    quietCyclesSkipped_ += quiet;
-
-    // Walk the skipped cycles boundary to boundary: audit sweeps and
-    // time-series samples observe frozen state but must still land on
-    // their exact cycles so the audits, samples and any snapshot
-    // taken later stay byte-identical to per-cycle execution.
-    const Cycle span_end = now_ + quiet;
-    while (now_ < span_end) {
-        Cycle boundary = span_end;
-#if CRNET_AUDIT_ENABLED
-        if (audit_ != nullptr) {
-            const Cycle next_audit =
-                now_ +
-                (cfg_.auditInterval - now_ % cfg_.auditInterval) %
-                    cfg_.auditInterval;
-            boundary = std::min(boundary, next_audit);
-        }
-#endif
-        if (timeseries_ != nullptr) {
-            const Cycle ts = timeseries_->interval();
-            boundary = std::min(boundary, now_ + (ts - 1 - now_ % ts));
-        }
-        if (boundary >= span_end) {
-            now_ = span_end;
-            break;
-        }
-        now_ = boundary;
-        CRNET_AUDIT_HOOK(audit_.get(), beginCycle(now_));
-        if (trace_ != nullptr)
-            trace_->beginCycle(now_);
-#if CRNET_AUDIT_ENABLED
-        if (audit_ != nullptr && now_ % cfg_.auditInterval == 0)
-            runAuditSweep();
-#endif
-        if (timeseries_ != nullptr &&
-            (now_ + 1) % timeseries_->interval() == 0) {
-            takeSample();
-        }
-        ++now_;
-    }
-
-    if (prof_ != nullptr)
-        prof_->noteQuietSpan(quiet, TickProfiler::stamp() - q0);
-
-    if (now_ < limit)
-        tick();  // First cycle with an arrival.
 }
 
 void
@@ -1531,8 +1254,7 @@ Network::attachProfiler(TickProfiler* prof)
     profTimed_ = false;
     if (prof == nullptr) {
         gaugeInjAwake_ = gaugeRtrAwake_ = gaugeRcvAwake_ = nullptr;
-        gaugeWaveOcc_ = gaugeQuietSkipped_ = gaugeRngMessages_ =
-            nullptr;
+        gaugeWaveOcc_ = gaugeRngMessages_ = nullptr;
         histInjHeap_ = histRcvHeap_ = nullptr;
         return;
     }
@@ -1541,7 +1263,6 @@ Network::attachProfiler(TickProfiler* prof)
     gaugeRtrAwake_ = reg.gauge("sched.routers_awake");
     gaugeRcvAwake_ = reg.gauge("sched.receivers_awake");
     gaugeWaveOcc_ = reg.gauge("sched.wave_ring_occupancy");
-    gaugeQuietSkipped_ = reg.gauge("sched.quiet_cycles_skipped");
     gaugeRngMessages_ = reg.gauge("rng.messages_generated");
     histInjHeap_ = reg.histogram("sched.injector_heap_size");
     histRcvHeap_ = reg.histogram("sched.receiver_heap_size");
@@ -1550,17 +1271,22 @@ Network::attachProfiler(TickProfiler* prof)
 void
 Network::sampleTelemetryGauges()
 {
-    gaugeInjAwake_->store(injAwakeN_, std::memory_order_relaxed);
-    gaugeRtrAwake_->store(rtrAwakeN_, std::memory_order_relaxed);
-    gaugeRcvAwake_->store(rcvAwakeN_, std::memory_order_relaxed);
+    std::uint64_t inj = 0, rtr = 0, rcv = 0;
+    const NodeId n = topo_->numNodes();
+    for (NodeId id = 0; id < n; ++id) {
+        inj += injAwake_[id];
+        rtr += rtrAwake_[id];
+        rcv += rcvAwake_[id];
+    }
+    gaugeInjAwake_->store(inj, std::memory_order_relaxed);
+    gaugeRtrAwake_->store(rtr, std::memory_order_relaxed);
+    gaugeRcvAwake_->store(rcv, std::memory_order_relaxed);
     std::uint64_t occ = 0;
     for (const Wave& w : buckets_) {
         occ += w.flits.size() + w.recvFlits.size() + w.credits.size() +
                w.injCredits.size() + w.bkills.size() + w.aborts.size();
     }
     gaugeWaveOcc_->store(occ, std::memory_order_relaxed);
-    gaugeQuietSkipped_->store(quietCyclesSkipped_,
-                              std::memory_order_relaxed);
     gaugeRngMessages_->store(generator_->generatedCount(),
                              std::memory_order_relaxed);
     histInjHeap_->observe(injDeadlines_.size());
@@ -1601,25 +1327,6 @@ Network::deliveryRecord(MsgId id) const
 {
     auto it = manualDelivered_.find(id);
     return it == manualDelivered_.end() ? nullptr : &it->second;
-}
-
-void
-Network::onDelivered(const DeliveredMessage& msg)
-{
-    if (ledger_ != nullptr)
-        ledger_->onDelivered(msg);
-    auto it = manualPending_.find(msg.id);
-    if (it != manualPending_.end()) {
-        manualDelivered_[msg.id] = msg;
-        manualPending_.erase(it);
-    }
-}
-
-void
-Network::onMessageFailed(const PendingMessage& msg, Cycle now)
-{
-    if (ledger_ != nullptr)
-        ledger_->onRefused(msg, now);
 }
 
 bool
@@ -1854,10 +1561,10 @@ Network::saveState(StateWriter& w) const
         }
     }
 
-    // Active-set scheduler: wake flags and deadline arrays. The heaps
-    // are rebuilt from the nextAt arrays on load — stale heap entries
-    // only produce no-op wakes, which are state-invariant by the
-    // sweep-equivalence contract.
+    // Wake flags and deadline arrays. The heaps are rebuilt from the
+    // nextAt arrays on load — stale heap entries only produce no-op
+    // wakes, which are state-invariant by the sweep-equivalence
+    // contract.
     for (NodeId id = 0; id < n; ++id)
         w.u8(injAwake_[id]);
     for (NodeId id = 0; id < n; ++id)
@@ -2029,14 +1736,6 @@ Network::loadState(StateReader& r)
         injNextAt_[id] = r.u64();
     for (NodeId id = 0; id < n; ++id)
         rcvNextAt_[id] = r.u64();
-    // The per-kind awake counts are derived state; recount rather
-    // than serialize so every scheduler reads every snapshot.
-    injAwakeN_ = rtrAwakeN_ = rcvAwakeN_ = 0;
-    for (NodeId id = 0; id < n; ++id) {
-        injAwakeN_ += injAwake_[id] != 0;
-        rtrAwakeN_ += rtrAwake_[id] != 0;
-        rcvAwakeN_ += rcvAwake_[id] != 0;
-    }
 
     now_ = r.u64();
     trafficEnabled_ = r.b();

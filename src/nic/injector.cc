@@ -152,12 +152,7 @@ Injector::requeueForRetry(PendingMessage msg, Cycle now)
                            node_, msg.dst, msg.attempt);
         }
         busyDests_.erase(msg.dst);
-        if (failureSink_ != nullptr) {
-            if (deferStats_)
-                failed.push_back(FailedMessage{msg, now});
-            else
-                failureSink_->onMessageFailed(msg, now);
-        }
+        failed.push_back(FailedMessage{msg, now});
         return;
     }
     msg.notBefore = now + retransmissionGap(cfg_, kills, rng_);
@@ -404,13 +399,8 @@ Injector::injectFlits(Cycle now)
                             static_cast<double>(s.wireLen -
                                                 s.msg.payloadLen - 1) /
                             s.wireLen;
-                        if (deferStats_) {
-                            committedStats.push_back(
-                                CommittedSample{att, pad});
-                        } else {
-                            stats_->attempts.add(att);
-                            stats_->padOverhead.add(pad);
-                        }
+                        committedStats.push_back(
+                            CommittedSample{att, pad});
                     }
                     busyDests_.erase(s.msg.dst);
                     s.state = Slot::State::Free;

@@ -10,8 +10,8 @@
 namespace crnet {
 
 Receiver::Receiver(NodeId node, const SimConfig& cfg,
-                   NetworkStats* stats, DeliverySink* sink)
-    : node_(node), cfg_(cfg), stats_(stats), sink_(sink),
+                   NetworkStats* stats)
+    : node_(node), cfg_(cfg), stats_(stats),
       rrVc_(cfg.ejectionChannels, 0)
 {
     if (stats == nullptr)
@@ -210,20 +210,8 @@ Receiver::commitDelivery(const DeliveredMessage& d)
     if (d.measured) {
         stats_->measuredDelivered.inc();
         stats_->measuredPayloadFlits.inc(d.payloadLen);
-        if (!deferStats_) {
-            const auto total =
-                static_cast<double>(d.deliveredAt - d.createdAt);
-            stats_->totalLatency.add(total);
-            stats_->latencyHist.add(total);
-            stats_->netLatency.add(
-                static_cast<double>(d.deliveredAt -
-                                    d.headInjectedAt));
-        }
     }
-    if (deferStats_)
-        deliveries.push_back(d);
-    else if (sink_ != nullptr)
-        sink_->onDelivered(d);
+    deliveries.push_back(d);
 }
 
 void

@@ -58,7 +58,7 @@ class Tracer;
 class StateWriter;
 class StateReader;
 
-/** A fully received message, as reported to the delivery sink. */
+/** A fully received message, staged for the Network to account. */
 struct DeliveredMessage
 {
     MsgId id = kInvalidMsg;
@@ -74,14 +74,6 @@ struct DeliveredMessage
     bool corrupted = false;      //!< Any payload flit failed its CRC.
 };
 
-/** Consumer of completed messages (the Network implements this). */
-class DeliverySink
-{
-  public:
-    virtual ~DeliverySink() = default;
-    virtual void onDelivered(const DeliveredMessage& msg) = 0;
-};
-
 /** A credit the receiver returns to the local router. */
 struct ReceiverCredit
 {
@@ -93,8 +85,7 @@ struct ReceiverCredit
 class Receiver
 {
   public:
-    Receiver(NodeId node, const SimConfig& cfg, NetworkStats* stats,
-             DeliverySink* sink);
+    Receiver(NodeId node, const SimConfig& cfg, NetworkStats* stats);
 
     // --- Delivery phase ----------------------------------------------
 
@@ -117,17 +108,13 @@ class Receiver
      */
     std::vector<ReceiverCredit> bkills;
 
-    // --- Deferred-stats mode (sharded ticks) --------------------------
-
-    /**
-     * When on, tick() never touches the shared latency accumulators
-     * or calls the delivery sink directly: every completed message is
-     * staged in `deliveries` instead, and the Network drains it
-     * serially in node order after the shard barrier — so the global
-     * Welford/histogram/ledger update sequence is byte-identical to
-     * an unsharded run. Off (the default), behavior is unchanged.
-     */
-    void setDeferStats(bool on) { deferStats_ = on; }
+    // --- Deferred stats ------------------------------------------------
+    //
+    // tick() never touches the shared latency accumulators or the
+    // delivery ledger: every completed message is staged in
+    // `deliveries`, and the Network drains it serially in node order
+    // after the compute phase, so the global Welford/histogram/ledger
+    // update sequence is the same at every shard count.
 
     /** Deliveries staged this tick (valid after tick; drained by owner). */
     std::vector<DeliveredMessage> deliveries;
@@ -236,8 +223,8 @@ class Receiver
     void consume(std::uint32_t ch, VcId vc, Cycle now);
     void deliver(const Flit& tail, const Assembly& a, Cycle now);
     CRNET_ALLOW("alloc",
-                "deliveries-outbox reuse in deferred mode: amortized "
-                "growth only, steady-state-free "
+                "deliveries-outbox reuse: amortized growth only, "
+                "steady-state-free "
                 "(tests/test_alloc_steady.cc)")
     void commitDelivery(const DeliveredMessage& d);
     CRNET_ALLOW("alloc",
@@ -266,10 +253,8 @@ class Receiver
     NodeId node_;
     const SimConfig& cfg_;
     NetworkStats* stats_;
-    DeliverySink* sink_;
     Auditor* audit_ = nullptr;
     Tracer* trace_ = nullptr;
-    bool deferStats_ = false;
 
     std::vector<VcBuffer> bufs_;  //!< [channel][vc] flattened.
     std::vector<VcId> rrVc_;      //!< Consumption RR per channel.

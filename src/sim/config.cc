@@ -321,7 +321,6 @@ toString(SchedulerKind k)
     switch (k) {
       case SchedulerKind::Sweep: return "sweep";
       case SchedulerKind::Active: return "active";
-      case SchedulerKind::Event: return "event";
     }
     panic("bad SchedulerKind");
 }
@@ -378,7 +377,6 @@ schedulerFromString(const std::string& s)
 {
     if (s == "sweep") return SchedulerKind::Sweep;
     if (s == "active") return SchedulerKind::Active;
-    if (s == "event") return SchedulerKind::Event;
     fatal("unknown scheduler '", s, "'");
 }
 

@@ -58,14 +58,14 @@ enum class BackoffScheme {
 };
 
 /**
- * Component-scheduling strategy of the cycle loop (see
- * docs/PERFORMANCE.md). All three produce bit-identical results;
- * `sweep` exists as the A/B reference for the equivalence suite.
+ * Wake policy of the one cycle loop (see docs/PERFORMANCE.md). Both
+ * produce bit-identical results: `active` is the loop, and `sweep`
+ * is the same loop with every wake flag forced on before the scan —
+ * the oracle that catches an under-waking `active`.
  */
 enum class SchedulerKind {
-    Sweep,   //!< Tick every injector/router/receiver every cycle.
-    Active,  //!< Tick only components with work or a due deadline.
-    Event    //!< Active, plus skip-ahead over globally quiet spans.
+    Sweep,   //!< Wake every injector/router/receiver every cycle.
+    Active   //!< Tick only components with work or a due deadline.
 };
 
 /** Synthetic traffic spatial patterns. */
@@ -203,12 +203,11 @@ struct SimConfig
 
     // --- Experiment ---------------------------------------------------
     /**
-     * Cycle-loop scheduler. Active (the default) skips idle
-     * components and is bit-identical to Sweep at every setting;
-     * `sched=event` additionally advances the clock straight to the
-     * next pending deadline whenever the whole network is quiet; the
-     * `sched=sweep` override re-enables the exhaustive per-node sweep
-     * for A/B identity testing and perf comparison.
+     * Cycle-loop wake policy. `active` (the default) ticks only the
+     * components with work or a due deadline; `sched=sweep` forces
+     * every wake flag on each cycle, so a component that `active`
+     * would wrongly leave asleep shows up as a result difference in
+     * the equivalence tests. Anything else is a fatal config error.
      */
     SchedulerKind sched = SchedulerKind::Active;
     std::uint64_t seed = 1;

@@ -11,18 +11,6 @@
 namespace crnet {
 namespace {
 
-class RecordingSink : public DeliverySink
-{
-  public:
-    void
-    onDelivered(const DeliveredMessage& msg) override
-    {
-        delivered.push_back(msg);
-    }
-
-    std::vector<DeliveredMessage> delivered;
-};
-
 class ReceiverTest : public ::testing::Test
 {
   protected:
@@ -32,9 +20,17 @@ class ReceiverTest : public ::testing::Test
     rebuild()
     {
         stats = std::make_unique<NetworkStats>();
-        sink = std::make_unique<RecordingSink>();
-        rcv = std::make_unique<Receiver>(3, cfg, stats.get(),
-                                         sink.get());
+        rcv = std::make_unique<Receiver>(3, cfg, stats.get());
+        delivered.clear();
+    }
+
+    /** One receiver cycle; keeps what its `deliveries` outbox staged. */
+    void
+    tick()
+    {
+        rcv->tick(now++);
+        delivered.insert(delivered.end(), rcv->deliveries.begin(),
+                         rcv->deliveries.end());
     }
 
     Flit
@@ -76,25 +72,25 @@ class ReceiverTest : public ::testing::Test
             rcv->acceptFlit(0, 0, makeFlit(t, msg, i, wire,
                                            payload_len, src, pair_seq,
                                            attempt));
-            rcv->tick(now++);
+            tick();
         }
         // Extra ticks to drain the buffer.
         for (int i = 0; i < 8; ++i)
-            rcv->tick(now++);
+            tick();
     }
 
     SimConfig cfg;
     std::unique_ptr<NetworkStats> stats;
-    std::unique_ptr<RecordingSink> sink;
     std::unique_ptr<Receiver> rcv;
+    std::vector<DeliveredMessage> delivered;  //!< Drained outboxes.
     Cycle now = 0;
 };
 
 TEST_F(ReceiverTest, AssemblesAndDeliversOnTail)
 {
     feedWorm(1, 4, 10);
-    ASSERT_EQ(sink->delivered.size(), 1u);
-    const DeliveredMessage& d = sink->delivered[0];
+    ASSERT_EQ(delivered.size(), 1u);
+    const DeliveredMessage& d = delivered[0];
     EXPECT_EQ(d.id, 1u);
     EXPECT_EQ(d.payloadLen, 4u);
     EXPECT_EQ(d.attempts, 1u);
@@ -118,16 +114,16 @@ TEST_F(ReceiverTest, KillDiscardsPartialMessage)
         rcv->acceptFlit(0, 0, makeFlit(i == 0 ? FlitType::Head
                                               : FlitType::Body,
                                        7, i, 16, 8));
-        rcv->tick(now++);
+        tick();
     }
     Flit kill;
     kill.type = FlitType::Kill;
     kill.msg = 7;
     rcv->acceptFlit(0, 0, kill);
     for (int i = 0; i < 4; ++i)
-        rcv->tick(now++);
+        tick();
     EXPECT_TRUE(rcv->idle());
-    EXPECT_EQ(sink->delivered.size(), 0u);
+    EXPECT_EQ(delivered.size(), 0u);
 }
 
 TEST_F(ReceiverTest, RetryAfterKillDeliversOnce)
@@ -138,17 +134,17 @@ TEST_F(ReceiverTest, RetryAfterKillDeliversOnce)
                         makeFlit(i == 0 ? FlitType::Head
                                         : FlitType::Body,
                                  9, i, 10, 4, 0, 0, 0));
-        rcv->tick(now++);
+        tick();
     }
     Flit kill;
     kill.type = FlitType::Kill;
     kill.msg = 9;
     kill.attempt = 0;
     rcv->acceptFlit(0, 0, kill);
-    rcv->tick(now++);
+    tick();
     feedWorm(9, 4, 10, 0, 0, 1);
-    ASSERT_EQ(sink->delivered.size(), 1u);
-    EXPECT_EQ(sink->delivered[0].attempts, 2u);
+    ASSERT_EQ(delivered.size(), 1u);
+    EXPECT_EQ(delivered[0].attempts, 2u);
     EXPECT_EQ(stats->duplicateDeliveries.value(), 0u);
 }
 
@@ -187,14 +183,14 @@ TEST_F(ReceiverTest, CrModeDeliversCorruptedAndCounts)
     h.payload ^= 1;  // Corrupt.
     h.corrupted = true;
     rcv->acceptFlit(0, 0, h);
-    rcv->tick(now++);
+    tick();
     rcv->acceptFlit(0, 0, makeFlit(FlitType::Body, 5, 1, 3, 2));
-    rcv->tick(now++);
+    tick();
     rcv->acceptFlit(0, 0, makeFlit(FlitType::Tail, 5, 2, 3, 2));
     for (int i = 0; i < 4; ++i)
-        rcv->tick(now++);
-    ASSERT_EQ(sink->delivered.size(), 1u);
-    EXPECT_TRUE(sink->delivered[0].corrupted);
+        tick();
+    ASSERT_EQ(delivered.size(), 1u);
+    EXPECT_TRUE(delivered[0].corrupted);
     EXPECT_EQ(stats->corruptedDeliveries.value(), 1u);
 }
 
@@ -207,7 +203,7 @@ TEST_F(ReceiverTest, FcrRefusesCorruptedPayloadFlit)
     h.corrupted = true;
     rcv->acceptFlit(0, 0, h);
     for (int i = 0; i < 10; ++i)
-        rcv->tick(now++);
+        tick();
     // Nothing consumed: no credits, one refusal.
     EXPECT_EQ(stats->flitsConsumed.value(), 0u);
     EXPECT_EQ(stats->refusals.value(), 1u);
@@ -218,7 +214,7 @@ TEST_F(ReceiverTest, FcrRefusesCorruptedPayloadFlit)
     kill.type = FlitType::Kill;
     kill.msg = 5;
     rcv->acceptFlit(0, 0, kill);
-    rcv->tick(now++);
+    tick();
     EXPECT_TRUE(rcv->idle());
 }
 
@@ -230,7 +226,7 @@ TEST_F(ReceiverTest, FcrRefusesWrongDestination)
     h.dst = 9;  // Mis-delivered (e.g. corrupted header address).
     rcv->acceptFlit(0, 0, h);
     for (int i = 0; i < 5; ++i)
-        rcv->tick(now++);
+        tick();
     EXPECT_EQ(stats->refusals.value(), 1u);
     EXPECT_EQ(stats->flitsConsumed.value(), 0u);
 }
@@ -242,21 +238,21 @@ TEST_F(ReceiverTest, FcrConsumesCorruptedPadsHarmlessly)
     // Clean payload, corrupted pad: must still deliver (pads carry no
     // data and are exempt from the check).
     rcv->acceptFlit(0, 0, makeFlit(FlitType::Head, 8, 0, 6, 2));
-    rcv->tick(now++);
+    tick();
     rcv->acceptFlit(0, 0, makeFlit(FlitType::Body, 8, 1, 6, 2));
-    rcv->tick(now++);
+    tick();
     for (std::uint32_t i = 2; i < 5; ++i) {
         Flit pad = makeFlit(FlitType::Pad, 8, i, 6, 2);
         pad.payload ^= 0xff;
         pad.corrupted = true;
         rcv->acceptFlit(0, 0, pad);
-        rcv->tick(now++);
+        tick();
     }
     rcv->acceptFlit(0, 0, makeFlit(FlitType::Tail, 8, 5, 6, 2));
     for (int i = 0; i < 4; ++i)
-        rcv->tick(now++);
-    ASSERT_EQ(sink->delivered.size(), 1u);
-    EXPECT_FALSE(sink->delivered[0].corrupted);
+        tick();
+    ASSERT_EQ(delivered.size(), 1u);
+    EXPECT_FALSE(delivered[0].corrupted);
     EXPECT_EQ(stats->refusals.value(), 0u);
 }
 
@@ -267,9 +263,9 @@ TEST_F(ReceiverTest, OneFlitPerEjectionChannelPerCycle)
     // Two worms on different VCs of the same channel.
     rcv->acceptFlit(0, 0, makeFlit(FlitType::Head, 1, 0, 2, 1));
     rcv->acceptFlit(0, 1, makeFlit(FlitType::Head, 2, 0, 2, 1, 4));
-    rcv->tick(now++);
+    tick();
     EXPECT_EQ(stats->flitsConsumed.value(), 1u);
-    rcv->tick(now++);
+    tick();
     EXPECT_EQ(stats->flitsConsumed.value(), 2u);
 }
 
@@ -278,7 +274,12 @@ TEST_F(ReceiverTest, MeasuredLatencyRecorded)
     feedWorm(1, 4, 10);
     EXPECT_EQ(stats->measuredDelivered.value(), 1u);
     EXPECT_EQ(stats->measuredPayloadFlits.value(), 4u);
-    EXPECT_GT(stats->totalLatency.count(), 0u);
+    // The latency accumulators are the Network's to fill, serially
+    // from the outbox; the receiver stages everything they need.
+    EXPECT_EQ(stats->totalLatency.count(), 0u);
+    ASSERT_EQ(delivered.size(), 1u);
+    EXPECT_TRUE(delivered[0].measured);
+    EXPECT_GT(delivered[0].deliveredAt, delivered[0].createdAt);
 }
 
 } // namespace

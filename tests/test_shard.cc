@@ -4,13 +4,14 @@
  * shards) is an execution knob, so shards=K must be bit-identical to
  * shards=1 on every observable output — run summaries, time series,
  * heatmaps, trace files, campaign aggregates and snapshot payloads —
- * under every scheduler. Any divergence means a shard worker raced on
+ * under both schedulers. Any divergence means a shard worker raced on
  * shared state or a serial replay ran out of node order (see
  * docs/PERFORMANCE.md for the boundary-exchange argument).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -22,6 +23,7 @@
 #include "src/core/network.hh"
 #include "src/fault/campaign.hh"
 #include "src/sim/snapshot.hh"
+#include "src/sim/telemetry.hh"
 #include "src/sim/trace.hh"
 
 namespace crnet {
@@ -117,15 +119,6 @@ TEST(Shard, ShardsMatchUnshardedSweep)
 {
     SimConfig cfg = baseCfg();
     cfg.sched = SchedulerKind::Sweep;
-    cfg.sampleInterval = 100;
-    cfg.heatmapEnabled = true;
-    expectShardsAgree(cfg);
-}
-
-TEST(Shard, ShardsMatchUnshardedEvent)
-{
-    SimConfig cfg = baseCfg();
-    cfg.sched = SchedulerKind::Event;
     cfg.sampleInterval = 100;
     cfg.heatmapEnabled = true;
     expectShardsAgree(cfg);
@@ -343,6 +336,29 @@ TEST(Shard, SnapshotRoundTripsAcrossShardCounts)
 
     EXPECT_EQ(hopped41, straight);
     EXPECT_EQ(hopped14, straight);
+}
+
+TEST(Shard, OneShardRunsInlineWithoutAPool)
+{
+    // shards=1 is the one-shard case of the same loop, run on the
+    // calling thread: constructing and running it must start no pool
+    // workers and touch no barrier telemetry.
+    Telemetry& reg = Telemetry::instance();
+    std::atomic<std::uint64_t>* workers = reg.gauge("pool.workers");
+    std::atomic<std::uint64_t>* barrier =
+        reg.counter("sched.shard_barrier_wait_nanos");
+    constexpr std::uint64_t kSentinel = 0xC0FFEE;
+    workers->store(kSentinel);
+    const std::uint64_t barrier_before = barrier->load();
+
+    SimConfig cfg = baseCfg();
+    cfg.shards = 1;
+    cfg.injectionRate = 0.2;
+    Network net(cfg);
+    net.run(500);
+    EXPECT_GT(net.stats().flitsConsumed.value(), 0u);
+    EXPECT_EQ(workers->load(), kSentinel);
+    EXPECT_EQ(barrier->load(), barrier_before);
 }
 
 TEST(Shard, ConfigKeyRoundTripsAndValidates)

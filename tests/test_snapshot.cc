@@ -9,6 +9,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -100,24 +102,15 @@ TEST(SnapshotIdentity, RestoredRunMatchesUninterruptedSweep)
     EXPECT_TRUE(straight == hopped);
 }
 
-TEST(SnapshotIdentity, RestoredRunMatchesUninterruptedEvent)
-{
-    const SimConfig cfg = snapConfig(SchedulerKind::Event);
-    const auto straight = endState(cfg, false);
-    const auto hopped = endState(cfg, true);
-    ASSERT_EQ(straight.size(), hopped.size());
-    EXPECT_TRUE(straight == hopped);
-}
-
 TEST(SnapshotIdentity, SnapshotRestoresAcrossSchedulers)
 {
     // The config fingerprint excludes `sched`: a snapshot captured
-    // under one scheduler restores under any other and the
+    // under one scheduler restores under the other and the
     // continuation is observably identical — the serialized wake
-    // flags carry over as a safe superset and the awake counts are
-    // recounted on load. (The raw payload bytes of the continuations
-    // may differ — flags and deadline slots converge lazily — so this
-    // compares observable output, not state bytes.)
+    // flags carry over as a safe superset. (The raw payload bytes of
+    // the continuations may differ — flags and deadline slots
+    // converge lazily — so this compares observable output, not state
+    // bytes.)
     auto captureUnder = [](SchedulerKind k) {
         Network warm(snapConfig(k));
         warm.setMeasuring(false);
@@ -137,14 +130,72 @@ TEST(SnapshotIdentity, SnapshotRestoresAcrossSchedulers)
     ASSERT_FALSE(sweepSweep.empty());
     EXPECT_EQ(continueUnder(SchedulerKind::Active, fromSweep),
               sweepSweep);
-    EXPECT_EQ(continueUnder(SchedulerKind::Event, fromSweep),
-              sweepSweep);
 
-    const Snapshot fromEvent = captureUnder(SchedulerKind::Event);
-    const auto eventEvent =
-        continueUnder(SchedulerKind::Event, fromEvent);
-    EXPECT_EQ(continueUnder(SchedulerKind::Sweep, fromEvent),
-              eventEvent);
+    const Snapshot fromActive = captureUnder(SchedulerKind::Active);
+    const auto activeActive =
+        continueUnder(SchedulerKind::Active, fromActive);
+    EXPECT_EQ(continueUnder(SchedulerKind::Sweep, fromActive),
+              activeActive);
+}
+
+/** The stats lines tests/fixtures/event_sched_v3.stats records. */
+std::string
+fixtureStatsText(const Network& net)
+{
+    const NetworkStats& s = net.stats();
+    StateWriter w;
+    saveNetworkStats(w, s);
+    const std::vector<std::uint8_t>& b = w.bytes();
+    std::ostringstream os;
+    os << "cycle " << net.now() << "\n"
+       << "messages_generated " << s.messagesGenerated.value() << "\n"
+       << "messages_delivered " << s.messagesDelivered.value() << "\n"
+       << "measured_delivered " << s.measuredDelivered.value() << "\n"
+       << "messages_failed " << s.messagesFailed.value() << "\n"
+       << "source_kills " << s.sourceKills.value() << "\n"
+       << "fault_events_applied " << s.faultEventsApplied.value()
+       << "\n"
+       << "flits_consumed " << s.flitsConsumed.value() << "\n"
+       << "latency_count " << s.totalLatency.count() << "\n"
+       << "latency_sum " << std::hexfloat << s.totalLatency.sum()
+       << std::defaultfloat << "\n"
+       << "stats_bytes " << b.size() << " crc32 " << std::hex
+       << crc32(b.data(), b.size()) << std::dec << "\n";
+    return os.str();
+}
+
+TEST(SnapshotIdentity, SnapshotFromRemovedEventSchedulerRestores)
+{
+    // tests/fixtures/event_sched_v3.snp was captured by the previous
+    // release under the since-removed skip-ahead scheduler
+    // (sched=event): snapConfig at injection rate 0.02, measuring from
+    // cycle 100, taken at cycle 300 after it had skipped 33 quiet
+    // cycles. event_sched_v3.stats holds that release's stats after
+    // continuing 200 measured cycles, then 300 with traffic and
+    // measurement off. `sched` is outside the fingerprint, so the
+    // file must restore here and the continuation must match exactly.
+    if (!CRNET_AUDIT_ENABLED)
+        GTEST_SKIP() << "fixture was captured with the audit compiled "
+                        "in, which is part of the config fingerprint";
+    const std::string dir = CRNET_TEST_FIXTURE_DIR;
+    Snapshot snap;
+    ASSERT_EQ(readSnapshotFile(dir + "/event_sched_v3.snp", snap), "");
+    EXPECT_EQ(snap.at, 300u);
+
+    SimConfig cfg = snapConfig(SchedulerKind::Active);
+    cfg.injectionRate = 0.02;
+    Network net(cfg);
+    ASSERT_EQ(restoreSnapshot(net, snap), "");
+    net.run(200);
+    net.setMeasuring(false);
+    net.setTrafficEnabled(false);
+    net.run(300);
+
+    std::ifstream in(dir + "/event_sched_v3.stats");
+    std::ostringstream want;
+    want << in.rdbuf();
+    ASSERT_FALSE(want.str().empty());
+    EXPECT_EQ(fixtureStatsText(net), want.str());
 }
 
 TEST(SnapshotIdentity, TracedRunSurvivesRestore)

@@ -4,7 +4,7 @@
  * the tick self-profiler, and the live status writer — plus the load-
  * bearing property that all of it stays off the results path: every
  * observable result is byte-identical with telemetry on or off, under
- * every scheduler and under the parallel engine.
+ * both schedulers, at every shard count and under the parallel engine.
  */
 
 #include <gtest/gtest.h>
@@ -178,7 +178,6 @@ TEST(TickProfiler, MergeSumsEverything)
     TickProfiler a, b;
     a.armTick();
     a.add(TickPhase::Deliver, 10);
-    a.noteQuietSpan(100, 50);
     b.armTick();
     b.add(TickPhase::Deliver, 20);
     ProfileData merged;
@@ -186,8 +185,6 @@ TEST(TickProfiler, MergeSumsEverything)
     merged.merge(b.data());
     EXPECT_TRUE(merged.enabled);
     EXPECT_EQ(merged.ticks, 2u);
-    EXPECT_EQ(merged.quietSpans, 1u);
-    EXPECT_EQ(merged.quietCycles, 100u);
     EXPECT_EQ(merged.phaseNanos[static_cast<int>(TickPhase::Deliver)],
               30u);
 }
@@ -196,9 +193,8 @@ TEST(TickProfiler, MergeSumsEverything)
 
 TEST(TelemetryIdentity, ProfileOnOffIdenticalUnderEveryScheduler)
 {
-    for (SchedulerKind sched : {SchedulerKind::Sweep,
-                                SchedulerKind::Active,
-                                SchedulerKind::Event}) {
+    for (SchedulerKind sched :
+         {SchedulerKind::Sweep, SchedulerKind::Active}) {
         SimConfig off = baseCfg();
         off.sched = sched;
         SimConfig on = off;
@@ -209,6 +205,32 @@ TEST(TelemetryIdentity, ProfileOnOffIdenticalUnderEveryScheduler)
         EXPECT_FALSE(a.profile.enabled);
         EXPECT_TRUE(b.profile.enabled);
         EXPECT_GT(b.profile.ticks, 0u);
+    }
+}
+
+TEST(TelemetryIdentity, ComponentPhasesBookedAtEveryShardCount)
+{
+    // The shard workers stamp their injector/router/receiver phase
+    // boundaries and the serial finish adds them up, so a loaded run
+    // books real time to each component phase at one shard as at
+    // four — and stays byte-identical to its unprofiled twin.
+    for (std::uint32_t shards : {1u, 4u}) {
+        SimConfig off = baseCfg();
+        off.injectionRate = 0.3;
+        off.shards = shards;
+        SimConfig on = off;
+        on.profileEnabled = true;
+        const RunResult a = runExperiment(off);
+        const RunResult b = runExperiment(on);
+        expectSameResult(a, b);
+        EXPECT_GT(a.flitEvents, 0u);
+        ASSERT_TRUE(b.profile.enabled);
+        for (TickPhase phase : {TickPhase::Injectors,
+                                TickPhase::Routers,
+                                TickPhase::Receivers}) {
+            EXPECT_GT(b.profile.tickSeconds(phase), 0.0)
+                << "shards=" << shards << " phase " << toString(phase);
+        }
     }
 }
 

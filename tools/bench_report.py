@@ -6,7 +6,7 @@ Every crnet bench ends with machine-parseable footers:
   timing: runs=N wall_s=S sims_per_s=R flit_events=E \
       flit_events_per_s=F jobs=J shards=K cores=C peak_rss_kb=M
   profile: enabled=1 runs=N warmup_s=... measure_s=... drain_s=... \
-      tick_deliver_s=... tick_routers_s=... quiet_cycles=...
+      tick_deliver_s=... tick_routers_s=... tick_sample_s=...
 
 The `profile:` footer is the self-profiler's per-phase wall-time
 attribution (docs/OBSERVABILITY.md); it is parsed into a `profile`
@@ -14,22 +14,20 @@ dict on every leg so phase-level trends ride along with the headline
 throughput numbers. `peak_rss_kb` (v5) is the process peak resident
 set, so memory scaling rides along too.
 
-This script runs a selection of benches five ways per bench —
+This script runs a selection of benches four ways per bench —
 
-  sweep_jobs1    exhaustive per-node scheduler, sequential
-  active_jobs1   active-set scheduler (the default), sequential
-  event_jobs1    skip-ahead event scheduler, sequential
-  active_jobsN   active-set scheduler under the parallel engine
-  active_shards4 active-set scheduler, one run sharded 4 ways
+  sweep_jobs1    every wake flag forced on (the oracle), sequential
+  active_jobs1   active-set wakes (the default), sequential
+  active_jobsN   active-set wakes under the parallel engine
+  active_shards4 active-set wakes, one run sharded 4 ways
 
 — parses the footers, checks that every leg reports identical
 flit_events (the schedulers are bit-identical and both the parallel
 engine and intra-run sharding are deterministic, so any difference is
 a correctness bug, not noise), and writes a JSON report recording
-per-bench wall-clock, throughput, peak RSS, the scheduler speedups
-(active vs sweep, event vs active), the parallel speedup and the
-shard speedup, together with the host core count so the numbers are
-interpretable.
+per-bench wall-clock, throughput, peak RSS, the scheduler speedup
+(active vs sweep), the parallel speedup and the shard speedup,
+together with the host core count so the numbers are interpretable.
 
 Unless --quick is given, the report also runs bench_tab_giant_scale
 once and records its scaling curve — flit-events/sec and resident
@@ -39,17 +37,23 @@ under a top-level "giant_scale" key.
 With --baseline the report's headline throughput (active_jobs1, the
 default configuration) is compared against an earlier report —
 v1 (BENCH_pr3.json), v2 (BENCH_pr5.json), v3 (BENCH_pr8.json),
-v4 (BENCH_pr9.json) or v5 — and the script fails if any bench present
+v4 (BENCH_pr9.json), v5 (BENCH_pr10.json) or v6 — and the script
+fails if any bench present
 in both regressed by more than --max-regression. Phase-level
 comparisons (per-phase seconds per flit event vs a v4+ baseline) are
 advisory: they print warnings but never fail the run, and a baseline
-from before the profiler existed simply skips them.
+from before the profiler existed simply skips them. Baselines from
+before v6 also carry an `event_jobs1` leg, an `event_speedup` and a
+`tick_quiet_s` phase (a scheduler since removed); those fields are
+ignored. `--self-test` checks that every committed BENCH_pr*.json
+still loads that way.
 
 Usage:
   tools/bench_report.py [--build-dir build] [--jobs N]
                         [--out BENCH_pr10.json] [--quick]
                         [--baseline BENCH_pr9.json]
                         [--max-regression 0.15]
+  tools/bench_report.py --self-test [BENCH_pr*.json ...]
 
 The default bench set covers a mid-load sweep, the dynamic-fault
 campaign, and the zero-load-latency sweep (the active scheduler's
@@ -64,7 +68,7 @@ import re
 import subprocess
 import sys
 
-SCHEMA = "crnet-bench-report-v5"
+SCHEMA = "crnet-bench-report-v6"
 
 # (bench binary, extra args). The overrides shrink simulated spans so
 # report generation stays cheap; all runs of one bench use identical
@@ -89,7 +93,6 @@ PROFILE_PHASES = [
     "warmup_s", "measure_s", "drain_s", "tick_deliver_s",
     "tick_generate_s", "tick_injectors_s", "tick_routers_s",
     "tick_receivers_s", "tick_audit_s", "tick_sample_s",
-    "tick_quiet_s",
 ]
 
 
@@ -251,7 +254,7 @@ def baseline_fps(baseline, name):
     """Headline flit_events_per_s of one bench in a prior report.
 
     Understands the v1 schema (one scheduler: benches[name].jobs1)
-    and the v2/v3 schemas (benches[name].active_jobs1). Returns None
+    and every later one (benches[name].active_jobs1). Returns None
     when the bench is absent (e.g. added after the baseline was
     recorded).
     """
@@ -262,6 +265,46 @@ def baseline_fps(baseline, name):
     if entry is None:
         return None
     return entry.get("flit_events_per_s")
+
+
+def self_test(paths):
+    """Check that prior reports still load as baselines.
+
+    Every report must yield a headline throughput for at least one
+    bench, and a profile comparison against its own active leg must
+    run without error, whatever removed legs or phases it carries.
+    Returns a process exit status.
+    """
+    if not paths:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        paths = sorted(os.path.join(root, f) for f in os.listdir(root)
+                       if re.fullmatch(r"BENCH_pr\d+\.json", f))
+    if not paths:
+        print("self-test: no BENCH_pr*.json reports found",
+              file=sys.stderr)
+        return 1
+    failures = 0
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            baseline = json.load(f)
+        headline = {name: baseline_fps(baseline, name)
+                    for name in baseline.get("benches", {})}
+        if not any(headline.values()):
+            print(f"self-test: {path}: no headline throughput",
+                  file=sys.stderr)
+            failures += 1
+            continue
+        for name, bench in baseline["benches"].items():
+            leg = bench.get("active_jobs1")
+            if leg is not None:
+                compare_profiles(name, leg, leg, 0.15)
+        legacy = sorted({k for b in baseline["benches"].values()
+                         for k in b if k.startswith("event_")})
+        print(f"self-test: {os.path.basename(path)} ok "
+              f"({len(headline)} benches"
+              + (f"; ignored {', '.join(legacy)}" if legacy else "")
+              + ")", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def main():
@@ -284,7 +327,13 @@ def main():
     ap.add_argument("--max-regression", type=float, default=0.15,
                     help="max tolerated headline throughput loss "
                          "vs --baseline (fraction, default 0.15)")
+    ap.add_argument("--self-test", nargs="*", metavar="REPORT",
+                    help="check that prior reports (default: every "
+                         "committed BENCH_pr*.json) load as baselines, "
+                         "then exit")
     opts = ap.parse_args()
+    if opts.self_test is not None:
+        raise SystemExit(self_test(opts.self_test))
 
     baseline = None
     if opts.baseline:
@@ -309,13 +358,12 @@ def main():
         print(f"{name}:", file=sys.stderr)
         sweep1 = run_bench(path, args, "sweep", 1)
         active1 = run_bench(path, args, "active", 1)
-        event1 = run_bench(path, args, "event", 1)
         # The parallel leg only means something with a second worker
         # (and at jobs=1 its dict key would collide with active_jobs1).
         activeN = (run_bench(path, args, "active", opts.jobs)
                    if opts.jobs > 1 else None)
         activeS = run_bench(path, args, "active", 1, shards=4)
-        footers = [sweep1, active1, event1, activeS] + (
+        footers = [sweep1, active1, activeS] + (
             [activeN] if activeN else [])
         events = {f["flit_events"] for f in footers}
         if len(events) != 1:
@@ -326,25 +374,18 @@ def main():
         sched_speedup = (active1["flit_events_per_s"] /
                          sweep1["flit_events_per_s"]
                          if sweep1["flit_events_per_s"] else 0.0)
-        event_speedup = (event1["flit_events_per_s"] /
-                         active1["flit_events_per_s"]
-                         if active1["flit_events_per_s"] else 0.0)
         shard_speedup = (active1["wall_s"] / activeS["wall_s"]
                          if activeS["wall_s"] > 0 else 0.0)
         report["benches"][name] = {
             "args": args,
             "sweep_jobs1": sweep1,
             "active_jobs1": active1,
-            "event_jobs1": event1,
             "active_shards4": activeS,
             "sched_speedup": round(sched_speedup, 3),
-            "event_speedup": round(event_speedup, 3),
             "shard_speedup": round(shard_speedup, 3),
         }
         print(f"  scheduler speedup (active/sweep): "
               f"{sched_speedup:.2f}x", file=sys.stderr)
-        print(f"  skip-ahead speedup (event/active): "
-              f"{event_speedup:.2f}x", file=sys.stderr)
         print(f"  shard speedup at shards=4: {shard_speedup:.2f}x "
               f"({report['cpu_cores']} core(s) available)",
               file=sys.stderr)
