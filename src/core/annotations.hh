@@ -44,11 +44,10 @@
  *                     under the jobs=N engine and the upcoming
  *                     intra-run sharding.
  *
- * Under clang the macros expand to [[clang::annotate]] attributes, so
- * the analyzer's clang frontend reads them straight out of the AST;
- * under other compilers they compile to nothing and the analyzer's
- * internal frontend recognizes the macro tokens textually. Either
- * way they cost nothing at runtime.
+ * Under clang the macros expand to [[clang::annotate]] attributes;
+ * under other compilers they compile to nothing. The analyzer reads
+ * the macro tokens textually either way, and they cost nothing at
+ * runtime.
  */
 
 #ifndef CRNET_CORE_ANNOTATIONS_HH

@@ -76,6 +76,78 @@ struct NetworkStats
     Histogram latencyHist{8.0, 4096};  //!< Total latency, 8-cycle bins.
 };
 
+/**
+ * Apply `f` to each Counter of NetworkStats, router block first, in
+ * declaration (and snapshot) order. With several blocks, `f` gets the
+ * same Counter of each: the per-shard fold (which also empties the
+ * shard blocks before a restore) and serialization walk this one
+ * list. Accumulators and the histogram are deliberately absent: shard
+ * blocks never receive order-sensitive adds (see the Network
+ * shardStats_ doc).
+ */
+template <typename F, typename... Blocks>
+void
+forEachCounter(F&& f, Blocks&... b)
+{
+    f(b.router.flitsForwarded...);
+    f(b.router.headersRouted...);
+    f(b.router.escapeAllocations...);
+    f(b.router.misrouteHops...);
+    f(b.router.killsForwarded...);
+    f(b.router.killsAnnihilated...);
+    f(b.router.pathWideKills...);
+    f(b.router.bkillHops...);
+    f(b.router.flitsPurged...);
+    f(b.router.stragglersDropped...);
+    f(b.router.staleKills...);
+    f(b.router.lateCreditsDropped...);
+    f(b.router.linkDeathTeardowns...);
+
+    f(b.messagesGenerated...);
+    f(b.messagesMeasured...);
+    f(b.sourceQueueDrops...);
+    f(b.flitsInjected...);
+    f(b.padFlitsInjected...);
+    f(b.sourceKills...);
+    f(b.abortedByBkill...);
+    f(b.messagesCommitted...);
+    f(b.messagesFailed...);
+    f(b.measuredFailed...);
+
+    f(b.messagesDelivered...);
+    f(b.measuredDelivered...);
+    f(b.corruptedDeliveries...);
+    f(b.orderViolations...);
+    f(b.duplicateDeliveries...);
+    f(b.refusals...);
+    f(b.staleAttemptFlits...);
+    f(b.flitsConsumed...);
+    f(b.padFlitsConsumed...);
+    f(b.measuredPayloadFlits...);
+
+    f(b.faultEventsApplied...);
+    f(b.flitsLostOnDeadLinks...);
+    f(b.killsAbsorbedAtDeadLinks...);
+    f(b.controlAbsorbedAtDeadLinks...);
+    f(b.receiverTimeouts...);
+    f(b.assembliesFinalized...);
+    f(b.assembliesDiscarded...);
+    f(b.retryDuplicatesSuppressed...);
+}
+
+/** Every counter, accumulator and the latency histogram, in order. */
+template <typename Io>
+void
+serializeStats(Io& io, NetworkStats& s)
+{
+    forEachCounter([&io](Counter& c) { c.serialize(io); }, s);
+    s.totalLatency.serialize(io);
+    s.netLatency.serialize(io);
+    s.attempts.serialize(io);
+    s.padOverhead.serialize(io);
+    s.latencyHist.serialize(io);
+}
+
 /** Aggregate outcome of one simulated configuration. */
 struct RunResult
 {

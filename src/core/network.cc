@@ -1,7 +1,6 @@
 #include "src/core/network.hh"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstring>
 #include <iomanip>
@@ -32,60 +31,6 @@ static_assert((kIdleProbePeriod & (kIdleProbePeriod - 1)) == 0 &&
               "instead of taking a modulus");
 
 /**
- * Every Counter field of the stats block, as member-pointer tables,
- * so the per-shard fold (and the restore-time reset) walks them
- * without hand-maintaining two copies of the list. Accumulators and
- * the histogram are deliberately absent: shard blocks never receive
- * order-sensitive adds (see NetworkStats shardStats_ doc).
- */
-constexpr std::array<Counter RouterStats::*, 13> kRouterCounters = {
-    &RouterStats::flitsForwarded,
-    &RouterStats::headersRouted,
-    &RouterStats::escapeAllocations,
-    &RouterStats::misrouteHops,
-    &RouterStats::killsForwarded,
-    &RouterStats::killsAnnihilated,
-    &RouterStats::pathWideKills,
-    &RouterStats::bkillHops,
-    &RouterStats::flitsPurged,
-    &RouterStats::stragglersDropped,
-    &RouterStats::staleKills,
-    &RouterStats::lateCreditsDropped,
-    &RouterStats::linkDeathTeardowns,
-};
-
-constexpr std::array<Counter NetworkStats::*, 28> kNetworkCounters = {
-    &NetworkStats::messagesGenerated,
-    &NetworkStats::messagesMeasured,
-    &NetworkStats::sourceQueueDrops,
-    &NetworkStats::flitsInjected,
-    &NetworkStats::padFlitsInjected,
-    &NetworkStats::sourceKills,
-    &NetworkStats::abortedByBkill,
-    &NetworkStats::messagesCommitted,
-    &NetworkStats::messagesFailed,
-    &NetworkStats::measuredFailed,
-    &NetworkStats::messagesDelivered,
-    &NetworkStats::measuredDelivered,
-    &NetworkStats::corruptedDeliveries,
-    &NetworkStats::orderViolations,
-    &NetworkStats::duplicateDeliveries,
-    &NetworkStats::refusals,
-    &NetworkStats::staleAttemptFlits,
-    &NetworkStats::flitsConsumed,
-    &NetworkStats::padFlitsConsumed,
-    &NetworkStats::measuredPayloadFlits,
-    &NetworkStats::faultEventsApplied,
-    &NetworkStats::flitsLostOnDeadLinks,
-    &NetworkStats::killsAbsorbedAtDeadLinks,
-    &NetworkStats::controlAbsorbedAtDeadLinks,
-    &NetworkStats::receiverTimeouts,
-    &NetworkStats::assembliesFinalized,
-    &NetworkStats::assembliesDiscarded,
-    &NetworkStats::retryDuplicatesSuppressed,
-};
-
-/**
  * First id in [id, end) whose wake flag is set, or `end`. Skips idle
  * stretches eight flags per load.
  */
@@ -105,36 +50,6 @@ nextAwake(const std::uint8_t* flags, NodeId id, NodeId end)
     while (id < end && flags[id] == 0)
         ++id;
     return id;
-}
-
-/** Fold every Counter of `from` into `into` and zero `from`. */
-void
-foldCounters(NetworkStats& into, NetworkStats& from)
-{
-    for (const auto field : kRouterCounters) {
-        Counter& f = from.router.*field;
-        if (f.value() != 0) {
-            (into.router.*field).inc(f.value());
-            f.reset();
-        }
-    }
-    for (const auto field : kNetworkCounters) {
-        Counter& f = from.*field;
-        if (f.value() != 0) {
-            (into.*field).inc(f.value());
-            f.reset();
-        }
-    }
-}
-
-/** Zero every Counter of a shard block (snapshot restore). */
-void
-resetCounters(NetworkStats& blk)
-{
-    for (const auto field : kRouterCounters)
-        (blk.router.*field).reset();
-    for (const auto field : kNetworkCounters)
-        (blk.*field).reset();
 }
 
 } // namespace
@@ -820,8 +735,16 @@ Network::drainShardSidecars()
 void
 Network::foldShardCounters()
 {
-    for (auto& blk : shardStats_)
-        foldCounters(stats_, *blk);
+    for (auto& blk : shardStats_) {
+        forEachCounter(
+            [](Counter& into, Counter& from) {
+                if (from.value() != 0) {
+                    into.inc(from.value());
+                    from.reset();
+                }
+            },
+            stats_, *blk);
+    }
 }
 
 void
@@ -1484,363 +1407,164 @@ Network::measuredDrained() const
 
 // --- Checkpoint/restore ------------------------------------------------
 //
-// Field order is the contract: saveState and loadState must mirror
-// each other exactly, and any change to either requires bumping
-// kSnapshotVersion (docs/ROBUSTNESS.md). Unordered containers are
-// serialized in sorted key order so the payload bytes are independent
-// of hash-table layout.
+// Field order is the contract: one function writes and reads every
+// field, and any change to it requires bumping kSnapshotVersion
+// (docs/ROBUSTNESS.md).
 
-CRNET_ALLOW("unordered-iter",
-            "explicit-send maps are snapshotted into sorted MsgId "
-            "order before serialization; every other container is "
-            "ordered already")
+template <typename Io>
 void
-Network::saveState(StateWriter& w) const
+Network::serialize(Io& io)
 {
     // Shard Counter blocks are zero between ticks except when a
     // between-tick writer (injectFaultEvent's link teardown) bumped a
-    // router counter; fold them now so the serialized master block —
-    // and with it the snapshot bytes — matches an unsharded run.
-    // Logically const: counts move between blocks that serialize as
-    // one.
-    const_cast<Network*>(this)->foldShardCounters();
-    saveNetworkStats(w, stats_);
-    faults_->saveState(w);
-    generator_->saveState(w);
+    // router counter. Folding them first makes the saved master block
+    // match an unsharded run; on restore it empties the shard blocks,
+    // whose counts belong to the abandoned timeline, before the
+    // master block is overwritten.
+    foldShardCounters();
+    serializeStats(io, stats_);
+    faults_->serialize(io);
+    generator_->serialize(io);
     const NodeId n = topo_->numNodes();
     for (NodeId id = 0; id < n; ++id)
-        routers_[id]->saveState(w);
+        routers_[id]->serialize(io);
     for (NodeId id = 0; id < n; ++id)
-        injectors_[id]->saveState(w);
+        injectors_[id]->serialize(io);
     for (NodeId id = 0; id < n; ++id)
-        receivers_[id]->saveState(w);
+        receivers_[id]->serialize(io);
 
     // Wave buckets, in vector-index order; restoring now_ keeps the
     // (now_ + delay) & mask indexing consistent.
-    w.u64(buckets_.size());
-    for (const Wave& wave : buckets_) {
-        w.u64(wave.flits.size());
-        for (const PendingFlit& pf : wave.flits) {
-            w.u32(pf.node);
-            w.u16(pf.inPort);
-            w.u16(pf.vc);
-            saveFlit(w, pf.flit);
-            w.b(pf.networkHop);
-        }
-        w.u64(wave.recvFlits.size());
-        for (const PendingRecvFlit& pf : wave.recvFlits) {
-            w.u32(pf.node);
-            w.u32(pf.ejChannel);
-            w.u16(pf.vc);
-            saveFlit(w, pf.flit);
-        }
-        w.u64(wave.credits.size());
-        for (const PendingCredit& pc : wave.credits) {
-            w.u32(pc.node);
-            w.u16(pc.outPort);
-            w.u16(pc.vc);
-        }
-        w.u64(wave.injCredits.size());
-        for (const PendingInjCredit& pc : wave.injCredits) {
-            w.u32(pc.node);
-            w.u32(pc.injChannel);
-            w.u16(pc.vc);
-        }
-        w.u64(wave.bkills.size());
-        for (const PendingBkill& pb : wave.bkills) {
-            w.u32(pb.node);
-            w.u16(pb.outPort);
-            w.u16(pb.vc);
-        }
-        w.u64(wave.aborts.size());
-        for (const PendingAbort& pa : wave.aborts) {
-            w.u32(pa.node);
-            w.u32(pa.injChannel);
-            w.u16(pa.vc);
-            w.u64(pa.msg);
-        }
-    }
-
-    // Wake flags and deadline arrays. The heaps are rebuilt from the
-    // nextAt arrays on load — stale heap entries only produce no-op
-    // wakes, which are state-invariant by the sweep-equivalence
-    // contract.
-    for (NodeId id = 0; id < n; ++id)
-        w.u8(injAwake_[id]);
-    for (NodeId id = 0; id < n; ++id)
-        w.u8(rtrAwake_[id]);
-    for (NodeId id = 0; id < n; ++id)
-        w.u8(rcvAwake_[id]);
-    for (NodeId id = 0; id < n; ++id)
-        w.u64(injNextAt_[id]);
-    for (NodeId id = 0; id < n; ++id)
-        w.u64(rcvNextAt_[id]);
-
-    w.u64(now_);
-    w.b(trafficEnabled_);
-    w.b(measuring_);
-    w.u64(measuredCreated_);
-    w.u64(lastActivity_);
-    w.u64(lastActivityLevel_);
-    w.b(forensicsDumped_);
-
-    w.b(dynamicFaults_);
-    w.b(schedule_ != nullptr);
-    if (schedule_ != nullptr)
-        schedule_->saveState(w);
-
-    w.b(ledger_ != nullptr);
-    if (ledger_ != nullptr) {
-        StateWriter inner;
-        ledger_->saveState(inner);
-        w.block(inner);
-    }
-
-    w.b(audit_ != nullptr);
-#if CRNET_AUDIT_ENABLED
-    if (audit_ != nullptr)
-        audit_->saveState(w);
-#endif
-
-    // Length-prefixed: the restore side may legitimately run without
-    // a tracer (traceFile is excluded from the fingerprint) and then
-    // skips the block wholesale.
-    w.b(trace_ != nullptr);
-    if (trace_ != nullptr) {
-        StateWriter inner;
-        trace_->saveState(inner);
-        w.block(inner);
-    }
-
-    w.b(timeseries_ != nullptr);
-    if (timeseries_ != nullptr)
-        timeseries_->saveState(w);
-
-    std::vector<MsgId> manual;
-    manual.reserve(manualDelivered_.size());
-    for (const auto& entry : manualDelivered_)
-        manual.push_back(entry.first);
-    std::sort(manual.begin(), manual.end());
-    w.u64(manual.size());
-    for (MsgId id : manual) {
-        const DeliveredMessage& d = manualDelivered_.at(id);
-        w.u64(id);
-        w.u64(d.id);
-        w.u32(d.src);
-        w.u32(d.dst);
-        w.u32(d.payloadLen);
-        w.u32(d.pairSeq);
-        w.u64(d.createdAt);
-        w.u64(d.headInjectedAt);
-        w.u64(d.deliveredAt);
-        w.u16(d.attempts);
-        w.b(d.measured);
-        w.b(d.corrupted);
-    }
-    manual.clear();
-    for (const auto& entry : manualPending_)
-        manual.push_back(entry.first);
-    std::sort(manual.begin(), manual.end());
-    w.u64(manual.size());
-    for (MsgId id : manual) {
-        w.u64(id);
-        w.b(manualPending_.at(id));
-    }
-}
-
-void
-Network::loadState(StateReader& r)
-{
-    loadNetworkStats(r, stats_);
-    // The snapshot's master block is the whole truth: any counts
-    // still sitting in shard blocks belong to the abandoned timeline.
-    for (auto& blk : shardStats_)
-        resetCounters(*blk);
-    faults_->loadState(r);
-    generator_->loadState(r);
-    const NodeId n = topo_->numNodes();
-    for (NodeId id = 0; id < n; ++id)
-        routers_[id]->loadState(r);
-    for (NodeId id = 0; id < n; ++id)
-        injectors_[id]->loadState(r);
-    for (NodeId id = 0; id < n; ++id)
-        receivers_[id]->loadState(r);
-
-    const std::uint64_t numBuckets = r.u64();
-    if (numBuckets != buckets_.size())
-        panic("wave-bucket count mismatch on restore: saved ",
-              numBuckets, ", have ", buckets_.size());
+    fixedSize(io, buckets_.size(), "wave-bucket ring");
     for (Wave& wave : buckets_) {
-        wave.clear();
-        const std::uint64_t numFlits = r.u64();
-        for (std::uint64_t i = 0; i < numFlits; ++i) {
-            PendingFlit pf;
-            pf.node = r.u32();
-            pf.inPort = r.u16();
-            pf.vc = r.u16();
-            loadFlit(r, pf.flit);
-            pf.networkHop = r.b();
-            wave.flits.push_back(pf);
-        }
-        const std::uint64_t numRecv = r.u64();
-        for (std::uint64_t i = 0; i < numRecv; ++i) {
-            PendingRecvFlit pf;
-            pf.node = r.u32();
-            pf.ejChannel = r.u32();
-            pf.vc = r.u16();
-            loadFlit(r, pf.flit);
-            wave.recvFlits.push_back(pf);
-        }
-        const std::uint64_t numCredits = r.u64();
-        for (std::uint64_t i = 0; i < numCredits; ++i) {
-            PendingCredit pc;
-            pc.node = r.u32();
-            pc.outPort = r.u16();
-            pc.vc = r.u16();
-            wave.credits.push_back(pc);
-        }
-        const std::uint64_t numInjCredits = r.u64();
-        for (std::uint64_t i = 0; i < numInjCredits; ++i) {
-            PendingInjCredit pc;
-            pc.node = r.u32();
-            pc.injChannel = r.u32();
-            pc.vc = r.u16();
-            wave.injCredits.push_back(pc);
-        }
-        const std::uint64_t numBkills = r.u64();
-        for (std::uint64_t i = 0; i < numBkills; ++i) {
-            PendingBkill pb;
-            pb.node = r.u32();
-            pb.outPort = r.u16();
-            pb.vc = r.u16();
-            wave.bkills.push_back(pb);
-        }
-        const std::uint64_t numAborts = r.u64();
-        for (std::uint64_t i = 0; i < numAborts; ++i) {
-            PendingAbort pa;
-            pa.node = r.u32();
-            pa.injChannel = r.u32();
-            pa.vc = r.u16();
-            pa.msg = r.u64();
-            wave.aborts.push_back(pa);
-        }
+        lengthPrefixed(io, wave.flits, [&io](PendingFlit& pf) {
+            io.u32(pf.node);
+            io.u16(pf.inPort);
+            io.u16(pf.vc);
+            serializeFlit(io, pf.flit);
+            io.b(pf.networkHop);
+        });
+        lengthPrefixed(io, wave.recvFlits, [&io](PendingRecvFlit& pf) {
+            io.u32(pf.node);
+            io.u32(pf.ejChannel);
+            io.u16(pf.vc);
+            serializeFlit(io, pf.flit);
+        });
+        lengthPrefixed(io, wave.credits, [&io](PendingCredit& pc) {
+            io.u32(pc.node);
+            io.u16(pc.outPort);
+            io.u16(pc.vc);
+        });
+        lengthPrefixed(io, wave.injCredits, [&io](PendingInjCredit& pc) {
+            io.u32(pc.node);
+            io.u32(pc.injChannel);
+            io.u16(pc.vc);
+        });
+        lengthPrefixed(io, wave.bkills, [&io](PendingBkill& pb) {
+            io.u32(pb.node);
+            io.u16(pb.outPort);
+            io.u16(pb.vc);
+        });
+        lengthPrefixed(io, wave.aborts, [&io](PendingAbort& pa) {
+            io.u32(pa.node);
+            io.u32(pa.injChannel);
+            io.u16(pa.vc);
+            io.u64(pa.msg);
+        });
     }
 
+    // Wake flags and deadline arrays.
     for (NodeId id = 0; id < n; ++id)
-        injAwake_[id] = r.u8();
+        io.u8(injAwake_[id]);
     for (NodeId id = 0; id < n; ++id)
-        rtrAwake_[id] = r.u8();
+        io.u8(rtrAwake_[id]);
     for (NodeId id = 0; id < n; ++id)
-        rcvAwake_[id] = r.u8();
+        io.u8(rcvAwake_[id]);
     for (NodeId id = 0; id < n; ++id)
-        injNextAt_[id] = r.u64();
+        io.u64(injNextAt_[id]);
     for (NodeId id = 0; id < n; ++id)
-        rcvNextAt_[id] = r.u64();
+        io.u64(rcvNextAt_[id]);
 
-    now_ = r.u64();
-    trafficEnabled_ = r.b();
-    measuring_ = r.b();
-    measuredCreated_ = r.u64();
-    lastActivity_ = r.u64();
-    lastActivityLevel_ = r.u64();
-    forensicsDumped_ = r.b();
+    io.u64(now_);
+    io.b(trafficEnabled_);
+    io.b(measuring_);
+    io.u64(measuredCreated_);
+    io.u64(lastActivity_);
+    io.u64(lastActivityLevel_);
+    io.b(forensicsDumped_);
 
-    // Rebuild the deadline heaps from the deduplicated nextAt arrays:
-    // one live entry per sleeping component. The saved run's stale
-    // heap entries are not reproduced — they pop as no-op wakes,
-    // which cannot change state (sweep equivalence).
-    injDeadlines_ = DeadlineHeap();
-    rcvDeadlines_ = DeadlineHeap();
-    for (NodeId id = 0; id < n; ++id)
-        if (injNextAt_[id] != kNeverCycle)
-            injDeadlines_.push({injNextAt_[id], id});
-    for (NodeId id = 0; id < n; ++id)
-        if (rcvNextAt_[id] != kNeverCycle)
-            rcvDeadlines_.push({rcvNextAt_[id], id});
-    dueEvents_.clear();
+    if constexpr (Io::kLoading) {
+        // Rebuild the deadline heaps from the deduplicated nextAt
+        // arrays: one live entry per sleeping component. The saved
+        // run's stale heap entries are not reproduced — they pop as
+        // no-op wakes, which cannot change state (sweep equivalence).
+        injDeadlines_ = DeadlineHeap();
+        rcvDeadlines_ = DeadlineHeap();
+        for (NodeId id = 0; id < n; ++id)
+            if (injNextAt_[id] != kNeverCycle)
+                injDeadlines_.push({injNextAt_[id], id});
+        for (NodeId id = 0; id < n; ++id)
+            if (rcvNextAt_[id] != kNeverCycle)
+                rcvDeadlines_.push({rcvNextAt_[id], id});
+        dueEvents_.clear();
+    }
 
-    dynamicFaults_ = r.b();
-    const bool hadSchedule = r.b();
-    if (hadSchedule) {
+    io.b(dynamicFaults_);
+    bool hasSchedule = schedule_ != nullptr;
+    io.b(hasSchedule);
+    if constexpr (Io::kLoading) {
         // Runtime-armed dynamic faults (injectFaultEvent) may have
         // created a schedule the config alone would not.
-        if (schedule_ == nullptr)
+        if (!hasSchedule)
+            schedule_.reset();
+        else if (schedule_ == nullptr)
             schedule_ = std::make_unique<FaultSchedule>();
-        schedule_->loadState(r);
-    } else {
-        schedule_.reset();
     }
+    if (hasSchedule)
+        schedule_->serialize(io);
 
-    const bool hadLedger = r.b();
-    if (hadLedger) {
-        const std::uint64_t len = r.u64();
-        if (ledger_ != nullptr) {
-            const std::size_t before = r.remaining();
-            ledger_->loadState(r);
-            if (before - r.remaining() != len)
-                panic("ledger block size mismatch on restore");
-        } else {
-            warn("snapshot carries a delivery ledger but none is "
-                 "attached; skipping it");
-            r.skip(len);
-        }
-    }
+    if (optionalBlock(io, ledger_, "ledger"))
+        warn("snapshot carries a delivery ledger but none is "
+             "attached; skipping it");
 
-    const bool hadAudit = r.b();
-    if (hadAudit != (audit_ != nullptr))
-        panic("audit-build mismatch on restore (saved ", hadAudit,
-              ", have ", audit_ != nullptr, ")");
+    fixedFlag(io, audit_ != nullptr, "audit-build");
 #if CRNET_AUDIT_ENABLED
     if (audit_ != nullptr)
-        audit_->loadState(r);
+        audit_->serialize(io);
 #endif
 
-    const bool hadTracer = r.b();
-    if (hadTracer) {
-        const std::uint64_t len = r.u64();
-        if (trace_ != nullptr) {
-            const std::size_t before = r.remaining();
-            trace_->loadState(r);
-            if (before - r.remaining() != len)
-                panic("tracer block size mismatch on restore");
-        } else {
-            r.skip(len);
-        }
-    }
+    // A block: the restore side may legitimately run without a tracer
+    // (traceFile is excluded from the fingerprint) and then skips it.
+    optionalBlock(io, trace_.get(), "tracer");
 
-    const bool hadTimeseries = r.b();
-    if (hadTimeseries != (timeseries_ != nullptr))
-        panic("timeseries presence mismatch on restore (saved ",
-              hadTimeseries, ", have ", timeseries_ != nullptr,
-              "); sample_interval is part of the fingerprint");
+    fixedFlag(io, timeseries_ != nullptr,
+              "timeseries presence (sample_interval is fingerprinted)");
     if (timeseries_ != nullptr)
-        timeseries_->loadState(r);
+        timeseries_->serialize(io);
 
-    manualDelivered_.clear();
-    const std::uint64_t numManual = r.u64();
-    for (std::uint64_t i = 0; i < numManual; ++i) {
-        const MsgId key = r.u64();
-        DeliveredMessage d;
-        d.id = r.u64();
-        d.src = r.u32();
-        d.dst = r.u32();
-        d.payloadLen = r.u32();
-        d.pairSeq = r.u32();
-        d.createdAt = r.u64();
-        d.headInjectedAt = r.u64();
-        d.deliveredAt = r.u64();
-        d.attempts = r.u16();
-        d.measured = r.b();
-        d.corrupted = r.b();
-        manualDelivered_.emplace(key, d);
-    }
-    manualPending_.clear();
-    const std::uint64_t numPending = r.u64();
-    for (std::uint64_t i = 0; i < numPending; ++i) {
-        const MsgId key = r.u64();
-        manualPending_.emplace(key, r.b());
-    }
+    sortedByKey(io, manualDelivered_, [&io](auto& entry) {
+        DeliveredMessage& d = entry.second;
+        io.u64(entry.first);
+        io.u64(d.id);
+        io.u32(d.src);
+        io.u32(d.dst);
+        io.u32(d.payloadLen);
+        io.u32(d.pairSeq);
+        io.u64(d.createdAt);
+        io.u64(d.headInjectedAt);
+        io.u64(d.deliveredAt);
+        io.u16(d.attempts);
+        io.b(d.measured);
+        io.b(d.corrupted);
+    });
+    sortedByKey(io, manualPending_, [&io](auto& entry) {
+        io.u64(entry.first);
+        io.b(entry.second);
+    });
 }
+
+template void Network::serialize(StateWriter&);
+template void Network::serialize(StateReader&);
 
 void
 Network::reseedStreams(std::uint64_t seed)

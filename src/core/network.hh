@@ -43,8 +43,6 @@ namespace crnet {
 class DeliveryLedger;
 class Tracer;
 class TimeSeries;
-class StateWriter;
-class StateReader;
 
 /** A complete simulated network. */
 class Network
@@ -191,24 +189,20 @@ class Network
     // --- Checkpoint/restore (see docs/ROBUSTNESS.md) ------------------
 
     /**
-     * Serialize every field the tick mutates — stats, RNG streams,
-     * wave buckets, router/NIC state, scheduler flags and deadline
-     * arrays, sidecars (tracer/timeseries/auditor) and the attached
-     * ledger — in a fixed, sorted, little-endian layout. Prefer
+     * Save (StateWriter) or restore (StateReader) every field the
+     * tick mutates — stats, RNG streams, wave buckets, router/NIC
+     * state, scheduler flags and deadline arrays, sidecars
+     * (tracer/timeseries/auditor) and the attached ledger — in a
+     * fixed, sorted, little-endian layout. Saving leaves the network
+     * observably unchanged. A restore needs a network constructed
+     * from a config with the same configFingerprint(); continuing
+     * afterwards is byte-identical to the uninterrupted run. Prefer
      * captureSnapshot()/restoreSnapshot() (snapshot.hh), which add
      * the version/fingerprint envelope.
      */
+    template <typename Io>
     CRNET_RESULT_AFFECTING
-    void saveState(StateWriter& w) const;
-
-    /**
-     * Overwrite this network's mutable state from a saveState()
-     * payload. The network must have been constructed from a config
-     * with the same configFingerprint(); continuing afterwards is
-     * byte-identical to the uninterrupted run.
-     */
-    CRNET_RESULT_AFFECTING
-    void loadState(StateReader& r);
+    void serialize(Io& io);
 
     /**
      * Re-fork every RNG stream from a fresh root seed, in exactly the

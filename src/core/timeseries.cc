@@ -68,57 +68,32 @@ TimeSeries::peekTail(Cycle now, const NetworkStats& stats,
     return build(now, stats, in_flight_worms, buffered_flits);
 }
 
+template <typename Io>
 void
-TimeSeries::saveState(StateWriter& w) const
+TimeSeries::serialize(Io& io)
 {
-    w.u64(samples_.size());
-    for (const TimeSeriesSample& s : samples_) {
-        w.u64(s.at);
-        w.u64(s.delivered);
-        w.u64(s.payloadFlits);
-        w.f64(s.meanLatency);
-        w.u64(s.kills);
-        w.u64(s.retransmits);
-        w.u64(s.faultEvents);
-        w.u64(s.inFlightWorms);
-        w.u64(s.bufferedFlits);
-    }
-    w.u64(lastDelivered_);
-    w.u64(lastPayload_);
-    w.u64(lastKills_);
-    w.u64(lastRetrans_);
-    w.u64(lastFaults_);
-    w.f64(lastLatencySum_);
-    w.u64(lastLatencyCount_);
+    lengthPrefixed(io, samples_, [&io](TimeSeriesSample& s) {
+        io.u64(s.at);
+        io.u64(s.delivered);
+        io.u64(s.payloadFlits);
+        io.f64(s.meanLatency);
+        io.u64(s.kills);
+        io.u64(s.retransmits);
+        io.u64(s.faultEvents);
+        io.u64(s.inFlightWorms);
+        io.u64(s.bufferedFlits);
+    });
+    io.u64(lastDelivered_);
+    io.u64(lastPayload_);
+    io.u64(lastKills_);
+    io.u64(lastRetrans_);
+    io.u64(lastFaults_);
+    io.f64(lastLatencySum_);
+    io.u64(lastLatencyCount_);
 }
 
-void
-TimeSeries::loadState(StateReader& r)
-{
-    samples_.clear();
-    const std::uint64_t n = r.u64();
-    samples_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        TimeSeriesSample s;
-        s.at = r.u64();
-        s.delivered = r.u64();
-        s.payloadFlits = r.u64();
-        s.meanLatency = r.f64();
-        s.kills = r.u64();
-        s.retransmits = r.u64();
-        s.faultEvents = r.u64();
-        s.inFlightWorms = r.u64();
-        s.bufferedFlits = r.u64();
-        samples_.push_back(s);
-    }
-    lastDelivered_ = r.u64();
-    lastPayload_ = r.u64();
-    lastKills_ = r.u64();
-    lastRetrans_ = r.u64();
-    lastFaults_ = r.u64();
-    lastLatencySum_ = r.f64();
-    lastLatencyCount_ = r.u64();
-}
+template void TimeSeries::serialize(StateWriter&);
+template void TimeSeries::serialize(StateReader&);
 
 void
 writeTimeSeriesCsv(std::ostream& os,

@@ -27,8 +27,6 @@
 namespace crnet {
 
 struct NetworkStats;
-class StateWriter;
-class StateReader;
 
 /** One sampling interval's deltas plus end-of-interval gauges. */
 struct TimeSeriesSample
@@ -82,8 +80,8 @@ class TimeSeries
     }
 
     /** Checkpoint support: samples plus the differencing baseline. */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
   private:
     /** Deltas against the baselines, shared by sample()/peekTail(). */

@@ -91,62 +91,33 @@ DeliveryLedger::sortedEntries() const
     return sorted;
 }
 
-CRNET_ALLOW("unordered-iter",
-            "serializes via sortedEntries(), so the snapshot bytes "
-            "never depend on hash order")
+template <typename Io>
 void
-DeliveryLedger::saveState(StateWriter& w) const
+DeliveryLedger::serialize(Io& io)
 {
-    const auto sorted = sortedEntries();
-    w.u64(sorted.size());
-    for (const auto& entry : sorted) {
-        w.u64(entry.first);
-        const LedgerEntry& e = *entry.second;
-        w.u32(e.src);
-        w.u32(e.dst);
-        w.u64(e.createdAt);
-        w.b(e.measured);
-        w.u8(static_cast<std::uint8_t>(e.fate));
-        w.u64(e.resolvedAt);
-        w.u16(e.attempts);
-        w.b(e.corrupted);
-        w.b(e.deliveredAfterRefusal);
-    }
-    w.u64(delivered_);
-    w.u64(refused_);
-    w.u64(duplicates_);
-    w.u64(unknown_);
-    w.u64(corrupted_);
-    w.u64(refusalRaces_);
+    sortedByKey(io, entries_, [&io](auto& entry) {
+        LedgerEntry& e = entry.second;
+        io.u64(entry.first);
+        io.u32(e.src);
+        io.u32(e.dst);
+        io.u64(e.createdAt);
+        io.b(e.measured);
+        io.enumU8(e.fate, MessageFate::Refused);
+        io.u64(e.resolvedAt);
+        io.u16(e.attempts);
+        io.b(e.corrupted);
+        io.b(e.deliveredAfterRefusal);
+    });
+    io.u64(delivered_);
+    io.u64(refused_);
+    io.u64(duplicates_);
+    io.u64(unknown_);
+    io.u64(corrupted_);
+    io.u64(refusalRaces_);
 }
 
-void
-DeliveryLedger::loadState(StateReader& r)
-{
-    entries_.clear();
-    const std::uint64_t count = r.u64();
-    entries_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const MsgId id = r.u64();
-        LedgerEntry e;
-        e.src = r.u32();
-        e.dst = r.u32();
-        e.createdAt = r.u64();
-        e.measured = r.b();
-        e.fate = static_cast<MessageFate>(r.u8());
-        e.resolvedAt = r.u64();
-        e.attempts = r.u16();
-        e.corrupted = r.b();
-        e.deliveredAfterRefusal = r.b();
-        entries_.emplace(id, e);
-    }
-    delivered_ = r.u64();
-    refused_ = r.u64();
-    duplicates_ = r.u64();
-    unknown_ = r.u64();
-    corrupted_ = r.u64();
-    refusalRaces_ = r.u64();
-}
+template void DeliveryLedger::serialize(StateWriter&);
+template void DeliveryLedger::serialize(StateReader&);
 
 namespace {
 
@@ -379,56 +350,30 @@ campaignFingerprint(const CampaignConfig& cc)
     return (static_cast<std::uint64_t>(hi) << 32) | lo;
 }
 
+template <typename Io>
 void
-saveTrial(StateWriter& w, const TrialOutcome& t)
+serializeTrial(Io& io, TrialOutcome& t)
 {
-    w.u32(t.trial);
-    w.u64(t.seed);
-    w.u64(t.accepted);
-    w.u64(t.delivered);
-    w.u64(t.refused);
-    w.u64(t.pendingAtEnd);
-    w.u64(t.duplicates);
-    w.u64(t.faultEvents);
-    w.u64(t.flitsLost);
-    w.u64(t.receiverTimeouts);
-    w.u64(t.firstFaultAt);
-    w.f64(t.preFaultLatency);
-    w.f64(t.postFaultLatency);
-    w.u64(t.recoveryCycles);
-    w.b(t.deadlocked);
-    w.b(t.fullyAccounted);
-    w.u64(t.cyclesRun);
-    w.u64(t.flitEvents);
-    w.b(t.quarantined);
-    w.u32(t.budgetRetries);
-}
-
-TrialOutcome
-loadTrial(StateReader& r)
-{
-    TrialOutcome t;
-    t.trial = r.u32();
-    t.seed = r.u64();
-    t.accepted = r.u64();
-    t.delivered = r.u64();
-    t.refused = r.u64();
-    t.pendingAtEnd = r.u64();
-    t.duplicates = r.u64();
-    t.faultEvents = r.u64();
-    t.flitsLost = r.u64();
-    t.receiverTimeouts = r.u64();
-    t.firstFaultAt = r.u64();
-    t.preFaultLatency = r.f64();
-    t.postFaultLatency = r.f64();
-    t.recoveryCycles = r.u64();
-    t.deadlocked = r.b();
-    t.fullyAccounted = r.b();
-    t.cyclesRun = r.u64();
-    t.flitEvents = r.u64();
-    t.quarantined = r.b();
-    t.budgetRetries = r.u32();
-    return t;
+    io.u32(t.trial);
+    io.u64(t.seed);
+    io.u64(t.accepted);
+    io.u64(t.delivered);
+    io.u64(t.refused);
+    io.u64(t.pendingAtEnd);
+    io.u64(t.duplicates);
+    io.u64(t.faultEvents);
+    io.u64(t.flitsLost);
+    io.u64(t.receiverTimeouts);
+    io.u64(t.firstFaultAt);
+    io.f64(t.preFaultLatency);
+    io.f64(t.postFaultLatency);
+    io.u64(t.recoveryCycles);
+    io.b(t.deadlocked);
+    io.b(t.fullyAccounted);
+    io.u64(t.cyclesRun);
+    io.u64(t.flitEvents);
+    io.b(t.quarantined);
+    io.u32(t.budgetRetries);
 }
 
 void
@@ -525,7 +470,8 @@ replayJournal(const CampaignConfig& cc, std::uint64_t fingerprint,
                       "start over");
             sawHeader = true;
         } else if (type == kRecordTrial) {
-            const TrialOutcome t = loadTrial(payload);
+            TrialOutcome t;
+            serializeTrial(payload, t);
             if (t.trial < cc.trials) {
                 if (!have[t.trial])
                     ++replayed;
@@ -637,7 +583,7 @@ runCampaign(const CampaignConfig& cc, std::vector<TrialOutcome>* out)
                     if (!journaled)
                         return;
                     StateWriter payload;
-                    saveTrial(payload, trials[trial]);
+                    serializeTrial(payload, trials[trial]);
                     const std::lock_guard<std::mutex> lock(
                         journalMutex);
                     StateWriter record;

@@ -35,9 +35,6 @@
 
 namespace crnet {
 
-class StateWriter;
-class StateReader;
-
 /** Terminal state of one accepted message. */
 enum class MessageFate : std::uint8_t {
     Pending,    //!< Accepted, not yet resolved (bad if final).
@@ -116,8 +113,8 @@ class DeliveryLedger
     // --- Checkpoint support (snapshot.hh) -----------------------------
 
     /** Entries in sorted MsgId order, then the derived counters. */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
   private:
     std::unordered_map<MsgId, LedgerEntry> entries_;

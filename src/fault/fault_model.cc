@@ -176,31 +176,23 @@ FaultModel::deadLinks() const
     return out;
 }
 
+template <typename Io>
 void
-FaultModel::saveState(StateWriter& w) const
+FaultModel::serialize(Io& io)
 {
-    w.f64(burstRate_);
-    saveRng(w, rng_);
-    w.u64(dead_.size());
-    for (std::size_t i = 0; i < dead_.size(); ++i)
-        w.b(dead_[i]);
-    w.u64(corruptions_);
-    w.u32(permanent_);
+    io.f64(burstRate_);
+    serializeRng(io, rng_);
+    fixedSize(io, dead_.size(), "dead-link map");
+    for (std::size_t i = 0; i < dead_.size(); ++i) {
+        bool dead = dead_[i];
+        io.b(dead);
+        dead_[i] = dead;
+    }
+    io.u64(corruptions_);
+    io.u32(permanent_);
 }
 
-void
-FaultModel::loadState(StateReader& r)
-{
-    burstRate_ = r.f64();
-    loadRng(r, rng_);
-    const std::uint64_t n = r.u64();
-    if (n != dead_.size())
-        panic("dead-link map size mismatch on restore: saved ", n,
-              ", have ", dead_.size());
-    for (std::size_t i = 0; i < dead_.size(); ++i)
-        dead_[i] = r.b();
-    corruptions_ = r.u64();
-    permanent_ = r.u32();
-}
+template void FaultModel::serialize(StateWriter&);
+template void FaultModel::serialize(StateReader&);
 
 } // namespace crnet

@@ -43,9 +43,6 @@
 
 namespace crnet {
 
-class StateWriter;
-class StateReader;
-
 /** How much of a physical link a dead entry covers. */
 enum class DeadLinkKind : std::uint8_t {
     Directed,      //!< Only this direction is dead.
@@ -138,8 +135,8 @@ class FaultModel
     // --- Checkpoint support (snapshot.hh) ---------------------------
 
     /** Burst window, RNG stream, dead map and counters. */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
     /** Replace the RNG stream (warm-start reseeding). */
     void setRng(const Rng& rng) { rng_ = rng; }

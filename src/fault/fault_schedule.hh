@@ -43,9 +43,6 @@
 
 namespace crnet {
 
-class StateWriter;
-class StateReader;
-
 /** What a scheduled fault event does when it fires. */
 enum class FaultEventKind : std::uint8_t {
     LinkDeath,          //!< Both directions of (node, port) die.
@@ -121,8 +118,8 @@ class FaultSchedule
      * grown at runtime (Network::injectFaultEvent), so the restored
      * side cannot rebuild it from config alone.
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
   private:
     std::vector<FaultEvent> events_;  //!< Sorted by `at`.

@@ -44,8 +44,6 @@ namespace crnet {
 
 class Auditor;
 class Tracer;
-class StateWriter;
-class StateReader;
 
 /** A flit the injector puts on an injection channel this cycle. */
 struct InjectedFlit
@@ -183,8 +181,8 @@ class Injector
      * and channelUsed_ are cleared at tick entry and need not
      * round-trip.
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
     /** Replace the RNG stream (warm-start reseeding). */
     void setRng(const Rng& rng) { rng_ = rng; }

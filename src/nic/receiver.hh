@@ -55,8 +55,6 @@ namespace crnet {
 
 class Auditor;
 class Tracer;
-class StateWriter;
-class StateReader;
 
 /** A fully received message, staged for the Network to account. */
 struct DeliveredMessage
@@ -184,8 +182,8 @@ class Receiver
      * credit/bkill outboxes are cleared at tick entry and need not
      * round-trip.
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
   private:
     struct VcBuffer

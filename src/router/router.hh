@@ -61,8 +61,6 @@ namespace crnet {
 
 class Auditor;
 class Tracer;
-class StateWriter;
-class StateReader;
 
 /** Counters shared by all routers of one network. */
 struct RouterStats
@@ -362,8 +360,8 @@ class Router
      * is identical whether the router is standalone or pool-backed
      * (state is walked per-router in node order either way).
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
     /** Replace the RNG stream (warm-start reseeding). */
     void setRng(const Rng& rng) { rng_ = rng; }

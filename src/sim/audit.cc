@@ -46,7 +46,7 @@ Auditor::foldStage(ShardStage& stage)
     consumed_ += stage.consumed;
     purged_ += stage.purged;
     // The kill registry is a set, so insertion order is immaterial;
-    // saveState sorts before serialization anyway.
+    // serialize() sorts it anyway.
     for (const std::uint64_t key : stage.kills)
         issuedKills_.insert(key);
     stage.injected = 0;
@@ -355,64 +355,31 @@ Auditor::sweep(const AuditSnapshot& snap)
     }
 }
 
-CRNET_ALLOW("unordered-iter",
-            "issued-kill registry is sorted before serialization so "
-            "the snapshot bytes never depend on hash order")
+template <typename Io>
 void
-Auditor::saveState(StateWriter& w) const
-{
-    for (const std::vector<ChannelState>* chans :
-         {&routerChannels_, &ejectionChannels_}) {
-        w.u64(chans->size());
-        for (const ChannelState& ch : *chans) {
-            w.u64(ch.msg);
-            w.u16(ch.attempt);
-            w.u32(ch.nextSeq);
-            w.u32(ch.payloadLen);
-            w.u64(ch.purgedMsg);
-        }
-    }
-    std::vector<std::uint64_t> kills(issuedKills_.begin(),
-                                     issuedKills_.end());
-    std::sort(kills.begin(), kills.end());
-    w.u64(kills.size());
-    for (std::uint64_t key : kills)
-        w.u64(key);
-    w.u64(injected_);
-    w.u64(consumed_);
-    w.u64(purged_);
-    w.u64(sweeps_);
-    w.u64(flitChecks_);
-    w.u64(now_);
-}
-
-void
-Auditor::loadState(StateReader& r)
+Auditor::serialize(Io& io)
 {
     for (std::vector<ChannelState>* chans :
          {&routerChannels_, &ejectionChannels_}) {
-        const std::uint64_t n = r.u64();
-        if (n != chans->size())
-            panic("audit channel-mirror count mismatch on restore: "
-                  "saved ", n, ", have ", chans->size());
+        fixedSize(io, chans->size(), "audit channel-mirror");
         for (ChannelState& ch : *chans) {
-            ch.msg = r.u64();
-            ch.attempt = r.u16();
-            ch.nextSeq = r.u32();
-            ch.payloadLen = r.u32();
-            ch.purgedMsg = r.u64();
+            io.u64(ch.msg);
+            io.u16(ch.attempt);
+            io.u32(ch.nextSeq);
+            io.u32(ch.payloadLen);
+            io.u64(ch.purgedMsg);
         }
     }
-    issuedKills_.clear();
-    const std::uint64_t numKills = r.u64();
-    for (std::uint64_t i = 0; i < numKills; ++i)
-        issuedKills_.insert(r.u64());
-    injected_ = r.u64();
-    consumed_ = r.u64();
-    purged_ = r.u64();
-    sweeps_ = r.u64();
-    flitChecks_ = r.u64();
-    now_ = r.u64();
+    sortedByKey(io, issuedKills_, [&io](std::uint64_t& key) { io.u64(key); });
+    io.u64(injected_);
+    io.u64(consumed_);
+    io.u64(purged_);
+    io.u64(sweeps_);
+    io.u64(flitChecks_);
+    io.u64(now_);
 }
+
+template void Auditor::serialize(StateWriter&);
+template void Auditor::serialize(StateReader&);
 
 } // namespace crnet

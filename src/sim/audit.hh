@@ -72,8 +72,6 @@
 namespace crnet {
 
 class Topology;
-class StateWriter;
-class StateReader;
 
 /** What kind of channel an AuditEdge describes. */
 enum class AuditEdgeKind : std::uint8_t {
@@ -223,8 +221,8 @@ class Auditor
      * survive a restore or the first post-resume sweep would panic on
      * a phantom conservation violation.
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
   private:
     /** Mirror of one channel's worm state machine. */

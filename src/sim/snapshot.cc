@@ -1,9 +1,8 @@
 /**
  * @file
- * Snapshot container I/O, config fingerprinting and the shared
- * field-group serializers (flits, messages, the stats block). The
- * per-component saveState/loadState bodies live next to the
- * components they serialize; this file owns everything format-level.
+ * Snapshot container I/O and config fingerprinting. The per-type
+ * serialize() bodies live next to the types they serialize; this file
+ * owns everything format-level.
  */
 
 #include "src/sim/snapshot.hh"
@@ -15,220 +14,25 @@
 
 #include <unistd.h>
 
-#include "src/core/metrics.hh"
 #include "src/core/network.hh"
-#include "src/router/flit.hh"
-#include "src/sim/audit.hh"
 #include "src/sim/checksum.hh"
 #include "src/sim/config.hh"
 #include "src/sim/telemetry.hh"
-#include "src/traffic/message.hh"
 
 namespace crnet {
-
-// --- Shared field-group serializers ------------------------------------
-
-void
-saveFlit(StateWriter& w, const Flit& f)
-{
-    w.u8(static_cast<std::uint8_t>(f.type));
-    w.u64(f.msg);
-    w.u32(f.seq);
-    w.u32(f.src);
-    w.u32(f.dst);
-    w.u8(f.vcClass);
-    w.u8(f.misrouteBudget);
-    w.u16(f.attempt);
-    w.u32(f.payloadLen);
-    w.u32(f.pairSeq);
-    w.u64(f.createdAt);
-    w.u64(f.headInjectedAt);
-    w.b(f.measured);
-    w.u64(f.payload);
-    w.u8(f.crc);
-    w.b(f.corrupted);
-}
-
-void
-loadFlit(StateReader& r, Flit& f)
-{
-    f.type = static_cast<FlitType>(r.u8());
-    f.msg = r.u64();
-    f.seq = r.u32();
-    f.src = r.u32();
-    f.dst = r.u32();
-    f.vcClass = r.u8();
-    f.misrouteBudget = r.u8();
-    f.attempt = r.u16();
-    f.payloadLen = r.u32();
-    f.pairSeq = r.u32();
-    f.createdAt = r.u64();
-    f.headInjectedAt = r.u64();
-    f.measured = r.b();
-    f.payload = r.u64();
-    f.crc = r.u8();
-    f.corrupted = r.b();
-}
-
-void
-saveMessage(StateWriter& w, const PendingMessage& m)
-{
-    w.u64(m.id);
-    w.u32(m.src);
-    w.u32(m.dst);
-    w.u32(m.payloadLen);
-    w.u64(m.createdAt);
-    w.u32(m.pairSeq);
-    w.u16(m.attempt);
-    w.u64(m.notBefore);
-    w.b(m.measured);
-}
-
-void
-loadMessage(StateReader& r, PendingMessage& m)
-{
-    m.id = r.u64();
-    m.src = r.u32();
-    m.dst = r.u32();
-    m.payloadLen = r.u32();
-    m.createdAt = r.u64();
-    m.pairSeq = r.u32();
-    m.attempt = r.u16();
-    m.notBefore = r.u64();
-    m.measured = r.b();
-}
-
-void
-saveNetworkStats(StateWriter& w, const NetworkStats& s)
-{
-    s.router.flitsForwarded.saveState(w);
-    s.router.headersRouted.saveState(w);
-    s.router.escapeAllocations.saveState(w);
-    s.router.misrouteHops.saveState(w);
-    s.router.killsForwarded.saveState(w);
-    s.router.killsAnnihilated.saveState(w);
-    s.router.pathWideKills.saveState(w);
-    s.router.bkillHops.saveState(w);
-    s.router.flitsPurged.saveState(w);
-    s.router.stragglersDropped.saveState(w);
-    s.router.staleKills.saveState(w);
-    s.router.lateCreditsDropped.saveState(w);
-    s.router.linkDeathTeardowns.saveState(w);
-
-    s.messagesGenerated.saveState(w);
-    s.messagesMeasured.saveState(w);
-    s.sourceQueueDrops.saveState(w);
-    s.flitsInjected.saveState(w);
-    s.padFlitsInjected.saveState(w);
-    s.sourceKills.saveState(w);
-    s.abortedByBkill.saveState(w);
-    s.messagesCommitted.saveState(w);
-    s.messagesFailed.saveState(w);
-    s.measuredFailed.saveState(w);
-
-    s.messagesDelivered.saveState(w);
-    s.measuredDelivered.saveState(w);
-    s.corruptedDeliveries.saveState(w);
-    s.orderViolations.saveState(w);
-    s.duplicateDeliveries.saveState(w);
-    s.refusals.saveState(w);
-    s.staleAttemptFlits.saveState(w);
-    s.flitsConsumed.saveState(w);
-    s.padFlitsConsumed.saveState(w);
-    s.measuredPayloadFlits.saveState(w);
-
-    s.faultEventsApplied.saveState(w);
-    s.flitsLostOnDeadLinks.saveState(w);
-    s.killsAbsorbedAtDeadLinks.saveState(w);
-    s.controlAbsorbedAtDeadLinks.saveState(w);
-    s.receiverTimeouts.saveState(w);
-    s.assembliesFinalized.saveState(w);
-    s.assembliesDiscarded.saveState(w);
-    s.retryDuplicatesSuppressed.saveState(w);
-
-    s.totalLatency.saveState(w);
-    s.netLatency.saveState(w);
-    s.attempts.saveState(w);
-    s.padOverhead.saveState(w);
-    s.latencyHist.saveState(w);
-}
-
-void
-loadNetworkStats(StateReader& r, NetworkStats& s)
-{
-    s.router.flitsForwarded.loadState(r);
-    s.router.headersRouted.loadState(r);
-    s.router.escapeAllocations.loadState(r);
-    s.router.misrouteHops.loadState(r);
-    s.router.killsForwarded.loadState(r);
-    s.router.killsAnnihilated.loadState(r);
-    s.router.pathWideKills.loadState(r);
-    s.router.bkillHops.loadState(r);
-    s.router.flitsPurged.loadState(r);
-    s.router.stragglersDropped.loadState(r);
-    s.router.staleKills.loadState(r);
-    s.router.lateCreditsDropped.loadState(r);
-    s.router.linkDeathTeardowns.loadState(r);
-
-    s.messagesGenerated.loadState(r);
-    s.messagesMeasured.loadState(r);
-    s.sourceQueueDrops.loadState(r);
-    s.flitsInjected.loadState(r);
-    s.padFlitsInjected.loadState(r);
-    s.sourceKills.loadState(r);
-    s.abortedByBkill.loadState(r);
-    s.messagesCommitted.loadState(r);
-    s.messagesFailed.loadState(r);
-    s.measuredFailed.loadState(r);
-
-    s.messagesDelivered.loadState(r);
-    s.measuredDelivered.loadState(r);
-    s.corruptedDeliveries.loadState(r);
-    s.orderViolations.loadState(r);
-    s.duplicateDeliveries.loadState(r);
-    s.refusals.loadState(r);
-    s.staleAttemptFlits.loadState(r);
-    s.flitsConsumed.loadState(r);
-    s.padFlitsConsumed.loadState(r);
-    s.measuredPayloadFlits.loadState(r);
-
-    s.faultEventsApplied.loadState(r);
-    s.flitsLostOnDeadLinks.loadState(r);
-    s.killsAbsorbedAtDeadLinks.loadState(r);
-    s.controlAbsorbedAtDeadLinks.loadState(r);
-    s.receiverTimeouts.loadState(r);
-    s.assembliesFinalized.loadState(r);
-    s.assembliesDiscarded.loadState(r);
-    s.retryDuplicatesSuppressed.loadState(r);
-
-    s.totalLatency.loadState(r);
-    s.netLatency.loadState(r);
-    s.attempts.loadState(r);
-    s.padOverhead.loadState(r);
-    s.latencyHist.loadState(r);
-}
 
 // --- Config fingerprint ------------------------------------------------
 
 std::uint64_t
 configFingerprint(const SimConfig& cfg)
 {
-    // Every semantic field, in declaration order. traceFile, jobs,
-    // sched and shards are deliberately excluded: the wake policies
-    // and shard counts are proven bit-identical, the serialized wake
-    // flags are a sound superset under either policy (a flag on a
-    // component with no work only costs a no-op tick), and per-shard
-    // counter blocks are folded into the master stats before
-    // serialization — so a snapshot captured under sched=sweep
-    // restores under sched=active (as do those written by the
-    // removed sched=event), and one captured at shards=4 restores at
-    // shards=1, and vice versa
-    // (tests/test_shard.cc). The telemetry keys (statusFile, statusEverySeconds,
-    // profileEnabled) are likewise excluded: telemetry on vs off is
-    // byte-identical (tests/test_telemetry.cc), so a checkpoint taken
-    // with profiling on restores into an unprofiled run and vice
-    // versa. watchSpec *is* included because the watch list shapes
-    // the tracer state the snapshot carries.
+    // Every semantic field, in declaration order. The excluded
+    // fields (see snapshot.hh) are each covered by an equivalence
+    // test: a snapshot taken under sched=sweep restores under
+    // sched=active, one taken at shards=4 restores at shards=1
+    // (tests/test_shard.cc), and telemetry on vs off is byte-identical
+    // (tests/test_telemetry.cc). watchSpec *is* included because the
+    // watch list shapes the tracer state the snapshot carries.
     StateWriter w;
     w.u8(static_cast<std::uint8_t>(cfg.topology));
     w.u32(cfg.radixK);
@@ -291,8 +95,10 @@ configFingerprint(const SimConfig& cfg)
 Snapshot
 captureSnapshot(const Network& net)
 {
+    // Serialization only reads the network; serialize() is non-const
+    // because the same function also restores.
     StateWriter w;
-    net.saveState(w);
+    const_cast<Network&>(net).serialize(w);
     Snapshot snap;
     snap.at = net.now();
     snap.fingerprint = configFingerprint(net.config());
@@ -310,7 +116,7 @@ restoreSnapshot(Network& net, const Snapshot& snap)
                std::to_string(snap.fingerprint) + ", target " +
                std::to_string(want) + ")";
     StateReader r(snap.payload);
-    net.loadState(r);
+    net.serialize(r);
     if (!r.done())
         panic("snapshot payload has ", r.remaining(),
               " trailing bytes after restore (version skew or "

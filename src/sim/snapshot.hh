@@ -9,9 +9,10 @@
  * uninterrupted run (docs/ROBUSTNESS.md documents the format and the
  * compatibility policy).
  *
- * Layout discipline: every field is written little-endian in a fixed,
- * documented order; unordered containers are serialized in sorted key
- * order so the payload bytes are independent of hash-table layout.
+ * Layout discipline: each type's serialize() is its layout spec — one
+ * field list that both writes and reads, little-endian, in a fixed
+ * order. Unordered containers go through sortedByKey(), so the payload
+ * bytes are independent of hash-table layout.
  * The on-disk container is `CRNETSNP` + version + config fingerprint
  * + payload + CRC-32 trailer, written via write-temp/fsync/rename so
  * a crash mid-write can never leave a torn file in place of a good
@@ -21,16 +22,22 @@
 #ifndef CRNET_SIM_SNAPSHOT_HH
 #define CRNET_SIM_SNAPSHOT_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/core/annotations.hh"
+#include "src/router/buffer.hh"
+#include "src/router/flit.hh"
 #include "src/sim/log.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/types.hh"
+#include "src/traffic/message.hh"
 
 namespace crnet {
 
@@ -43,6 +50,12 @@ inline constexpr std::uint32_t kSnapshotVersion = 3;
 /**
  * Append-only little-endian byte sink for snapshot payloads.
  *
+ * StateWriter and StateReader share their field methods, so one
+ * `template <typename Io> serialize(Io&)` per type names each field
+ * once and serves both directions: the writer reads the field, the
+ * reader assigns it. Work only a restore does sits behind
+ * `if constexpr (Io::kLoading)`.
+ *
  * Not performance-critical (runs between ticks, never inside them),
  * so it favors an explicit, greppable field order over clever
  * packing.
@@ -50,6 +63,8 @@ inline constexpr std::uint32_t kSnapshotVersion = 3;
 class StateWriter
 {
   public:
+    static constexpr bool kLoading = false;
+
     void
     u8(std::uint8_t v)
     {
@@ -104,6 +119,21 @@ class StateWriter
             u8(static_cast<std::uint8_t>(c));
     }
 
+    /** An element count (the reader bounds it by the bytes left). */
+    void
+    length(std::uint64_t n)
+    {
+        u64(n);
+    }
+
+    /** An enum stored as one byte; `last` is its highest value. */
+    template <typename E>
+    void
+    enumU8(E e, E /*last*/)
+    {
+        u8(static_cast<std::uint8_t>(e));
+    }
+
     /**
      * Nested length-prefixed block. A reader that does not want the
      * block's contents (e.g. no tracer attached on restore) can skip
@@ -126,13 +156,17 @@ class StateWriter
 /**
  * Bounds-checked reader over a snapshot payload.
  *
- * The container CRC is verified before any parsing, so an overrun
- * here means a version-skew or serialization bug, not disk
- * corruption — it panics rather than limping on with garbage state.
+ * The container CRC is verified before any parsing, so an overrun or
+ * an out-of-range value here means a version-skew or serialization
+ * bug, not disk corruption — it panics rather than limping on with
+ * garbage state. The value-returning forms parse container headers;
+ * the reference forms mirror StateWriter for serialize().
  */
 class StateReader
 {
   public:
+    static constexpr bool kLoading = true;
+
     StateReader(const std::uint8_t* data, std::size_t size)
         : data_(data), size_(size)
     {
@@ -203,6 +237,44 @@ class StateReader
         return s;
     }
 
+    void u8(std::uint8_t& v) { v = u8(); }
+    void u16(std::uint16_t& v) { v = u16(); }
+    void u32(std::uint32_t& v) { v = u32(); }
+    void u64(std::uint64_t& v) { v = u64(); }
+    void i64(std::int64_t& v) { v = i64(); }
+    void f64(double& v) { v = f64(); }
+    void b(bool& v) { v = b(); }
+    void str(std::string& s) { s = str(); }
+
+    /**
+     * An element count. Every element takes at least one byte, so a
+     * count above the bytes left is refused here, before anything
+     * sizes a container by it.
+     */
+    void
+    length(std::uint64_t& n)
+    {
+        n = u64();
+        if (n > remaining())
+            panic("snapshot count ", n, " exceeds the ", remaining(),
+                  " payload bytes left (version skew or "
+                  "serialization bug)");
+    }
+
+    /** An enum stored as one byte, checked against its last value. */
+    template <typename E>
+    void
+    enumU8(E& e, E last)
+    {
+        const std::uint8_t v = u8();
+        if (v > static_cast<std::uint8_t>(last))
+            panic("snapshot enum byte ", static_cast<unsigned>(v),
+                  " beyond its last value ",
+                  static_cast<unsigned>(last),
+                  " (version skew or serialization bug)");
+        e = static_cast<E>(v);
+    }
+
     /** Skip n bytes (e.g. an unwanted length-prefixed block). */
     void
     skip(std::uint64_t n)
@@ -242,9 +314,11 @@ struct Snapshot
 
 /**
  * 64-bit fingerprint over every semantic SimConfig field (plus the
- * audit-build bit). Excludes `traceFile` (observability sidecar; a
- * restore may attach a different trace path) and `jobs` (campaign
- * parallelism never affects per-trial state). Restore refuses a
+ * audit-build bit). Excludes the fields proven not to change state:
+ * `traceFile` (a restore may attach a different trace path), `jobs`
+ * (campaign parallelism), `sched` and `shards` (byte-identical wake
+ * policies and shard counts), and the telemetry keys `statusFile`,
+ * `statusEverySeconds` and `profileEnabled`. Restore refuses a
  * snapshot whose fingerprint differs from the target network's
  * config: restoring into a differently-shaped network would corrupt
  * state silently.
@@ -278,38 +352,227 @@ std::string writeSnapshotFile(const std::string& path,
  */
 std::string readSnapshotFile(const std::string& path, Snapshot& out);
 
-// --- Shared field-group helpers (used by component saveState/loadState)
+// --- Shared serialization helpers --------------------------------------
+//
+// Each rule of the payload layout is written once here: counts,
+// sorted walks over hash containers, config-fixed sizes, optional
+// sidecar blocks and index checks. Every helper serves both
+// directions, like the serialize() functions that call it.
+
+/**
+ * A variable-length container as a length() count plus each element
+ * through `field(element&)`, in container order. The reader clears
+ * `seq` and appends what it reads.
+ */
+template <typename Io, typename Seq, typename Field>
+void
+lengthPrefixed(Io& io, Seq& seq, Field&& field)
+{
+    std::uint64_t n = seq.size();
+    io.length(n);
+    if constexpr (Io::kLoading) {
+        seq.clear();
+        if constexpr (requires { seq.reserve(n); })
+            seq.reserve(static_cast<std::size_t>(n));
+        for (std::uint64_t i = 0; i < n; ++i) {
+            typename Seq::value_type v{};
+            field(v);
+            seq.push_back(std::move(v));
+        }
+    } else {
+        for (auto& v : seq)
+            field(v);
+    }
+}
+
+/**
+ * The entries of an unordered map (as `std::pair<Key, T>`) or set (as
+ * `Key`), copied out in ascending key order: the one place snapshot
+ * code walks a hash container.
+ */
+template <typename Unordered>
+CRNET_ALLOW("unordered-iter",
+            "copies a hash container out and sorts it by key, so "
+            "nothing downstream depends on hash order")
+auto
+sortedCopy(const Unordered& unordered)
+{
+    using Key = typename Unordered::key_type;
+    if constexpr (requires { typename Unordered::mapped_type; }) {
+        std::vector<std::pair<Key, typename Unordered::mapped_type>>
+            out(unordered.begin(), unordered.end());
+        std::sort(out.begin(), out.end(),
+                  [](const auto& a, const auto& b) {
+                      return a.first < b.first;
+                  });
+        return out;
+    } else {
+        std::vector<Key> out(unordered.begin(), unordered.end());
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+}
+
+/**
+ * An unordered map or set as a lengthPrefixed() sequence of its
+ * entries in ascending key order, so the bytes never depend on hash
+ * layout. `entry` gets a `std::pair<Key, T>&` for a map and a `Key&`
+ * for a set. The reader clears `unordered` and inserts what it reads.
+ */
+template <typename Io, typename Unordered, typename Entry>
+void
+sortedByKey(Io& io, Unordered& unordered, Entry&& entry)
+{
+    decltype(sortedCopy(unordered)) items;
+    if constexpr (!Io::kLoading)
+        items = sortedCopy(unordered);
+    lengthPrefixed(io, items, entry);
+    if constexpr (Io::kLoading) {
+        unordered.clear();
+        unordered.reserve(items.size());
+        unordered.insert(items.begin(), items.end());
+    }
+}
+
+/**
+ * A size the config fixes (bucket ring, link map, mirror arrays):
+ * written on save; a different saved size on load means the payload
+ * does not belong to this network, so it panics.
+ */
+template <typename Io>
+void
+fixedSize(Io& io, std::uint64_t have, const char* what)
+{
+    std::uint64_t saved = have;
+    io.u64(saved);
+    if (saved != have)
+        panic(what, " size mismatch on restore: saved ", saved,
+              ", have ", have);
+}
+
+/** A presence bit the config fixes: written on save, must match. */
+template <typename Io>
+void
+fixedFlag(Io& io, bool have, const char* what)
+{
+    bool saved = have;
+    io.b(saved);
+    if (saved != have)
+        panic(what, " mismatch on restore (saved ", saved, ", have ",
+              have, ")");
+}
+
+/**
+ * An optional sidecar outside the config fingerprint (tracer,
+ * ledger): a presence bit, then `target->serialize()` as a
+ * length-prefixed block. A reader without a target skips the block
+ * and returns true; one with a target checks that it consumed
+ * exactly the block.
+ */
+template <typename Io, typename T>
+bool
+optionalBlock(Io& io, T* target, const char* what)
+{
+    bool present = target != nullptr;
+    io.b(present);
+    if (!present)
+        return false;
+    if constexpr (Io::kLoading) {
+        std::uint64_t len = 0;
+        io.length(len);
+        if (target == nullptr) {
+            io.skip(len);
+            return true;
+        }
+        const std::size_t before = io.remaining();
+        target->serialize(io);
+        if (before - io.remaining() != len)
+            panic(what, " block size mismatch on restore");
+    } else {
+        StateWriter inner;
+        target->serialize(inner);
+        io.block(inner);
+    }
+    return false;
+}
+
+/** An index read from a payload, checked before it indexes anything. */
+inline std::size_t
+checkedIndex(std::uint64_t index, std::uint64_t bound, const char* what)
+{
+    if (index >= bound)
+        panic("snapshot ", what, " ", index, " out of range [0, ", bound,
+              ") (version skew or serialization bug)");
+    return static_cast<std::size_t>(index);
+}
 
 /** RNG stream: the four raw xoshiro256** words. */
-inline void
-saveRng(StateWriter& w, const Rng& rng)
+template <typename Io>
+void
+serializeRng(Io& io, Rng& rng)
 {
-    for (std::uint64_t word : rng.state())
-        w.u64(word);
+    std::array<std::uint64_t, 4> words = rng.state();
+    for (std::uint64_t& word : words)
+        io.u64(word);
+    if constexpr (Io::kLoading)
+        rng.setState(words);
 }
 
-inline void
-loadRng(StateReader& r, Rng& rng)
+template <typename Io>
+void
+serializeFlit(Io& io, Flit& f)
 {
-    std::array<std::uint64_t, 4> s{};
-    for (auto& word : s)
-        word = r.u64();
-    rng.setState(s);
+    io.enumU8(f.type, FlitType::Kill);
+    io.u64(f.msg);
+    io.u32(f.seq);
+    io.u32(f.src);
+    io.u32(f.dst);
+    io.u8(f.vcClass);
+    io.u8(f.misrouteBudget);
+    io.u16(f.attempt);
+    io.u32(f.payloadLen);
+    io.u32(f.pairSeq);
+    io.u64(f.createdAt);
+    io.u64(f.headInjectedAt);
+    io.b(f.measured);
+    io.u64(f.payload);
+    io.u8(f.crc);
+    io.b(f.corrupted);
 }
 
-struct Flit;
-struct PendingMessage;
-struct NetworkStats;
+/** A flit FIFO's contents, oldest first, as a counted sequence. */
+template <typename Io>
+void
+serializeFlits(Io& io, FlitBuffer& buf)
+{
+    std::uint64_t n = buf.size();
+    io.length(n);
+    if constexpr (Io::kLoading)
+        buf.purge();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Flit f;
+        if constexpr (!Io::kLoading)
+            f = buf.peek(static_cast<std::size_t>(i));
+        serializeFlit(io, f);
+        if constexpr (Io::kLoading)
+            buf.push(f);
+    }
+}
 
-void saveFlit(StateWriter& w, const Flit& f);
-void loadFlit(StateReader& r, Flit& f);
-
-void saveMessage(StateWriter& w, const PendingMessage& m);
-void loadMessage(StateReader& r, PendingMessage& m);
-
-/** Every counter, accumulator and the latency histogram, in order. */
-void saveNetworkStats(StateWriter& w, const NetworkStats& s);
-void loadNetworkStats(StateReader& r, NetworkStats& s);
+template <typename Io>
+void
+serializeMessage(Io& io, PendingMessage& m)
+{
+    io.u64(m.id);
+    io.u32(m.src);
+    io.u32(m.dst);
+    io.u32(m.payloadLen);
+    io.u64(m.createdAt);
+    io.u32(m.pairSeq);
+    io.u16(m.attempt);
+    io.u64(m.notBefore);
+    io.b(m.measured);
+}
 
 // --- Crash-safe file primitives (shared with the campaign journal) ---
 

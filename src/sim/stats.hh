@@ -16,9 +16,6 @@
 
 namespace crnet {
 
-class StateWriter;
-class StateReader;
-
 /**
  * Streaming scalar accumulator (Welford's algorithm).
  *
@@ -50,8 +47,16 @@ class Accumulator
     double max() const { return count_ ? max_ : 0.0; }
 
     /** Checkpoint support (snapshot.hh). */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void
+    serialize(Io& io)
+    {
+        io.u64(count_);
+        io.f64(mean_);
+        io.f64(m2_);
+        io.f64(min_);
+        io.f64(max_);
+    }
 
   private:
     std::uint64_t count_ = 0;
@@ -93,8 +98,8 @@ class Histogram
     double percentile(double p) const;
 
     /** Checkpoint support; bin geometry must match the saved one. */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
   private:
     double binWidth_;
@@ -112,8 +117,12 @@ class Counter
     std::uint64_t value() const { return value_; }
 
     /** Checkpoint support (snapshot.hh). */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void
+    serialize(Io& io)
+    {
+        io.u64(value_);
+    }
 
   private:
     std::uint64_t value_ = 0;

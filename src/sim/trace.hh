@@ -43,8 +43,6 @@
 namespace crnet {
 
 struct SimConfig;
-class StateWriter;
-class StateReader;
 
 /** Worm-lifecycle event taxonomy (see docs/OBSERVABILITY.md). */
 enum class TraceEventKind : std::uint8_t {
@@ -160,8 +158,8 @@ class Tracer
      * ids and current cycle. Config-derived fields (prefix, parsed
      * watch list) are reconstructed by the constructor.
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
   private:
     bool pairMatches(NodeId src, NodeId dst) const;

@@ -104,62 +104,51 @@ TrafficGenerator::makeMessage(NodeId src, NodeId dst,
     return m;
 }
 
-CRNET_ALLOW("unordered-iter",
-            "pairSeq entries are sorted by key before serialization "
-            "so the snapshot bytes never depend on hash order")
+template <typename Io>
 void
-TrafficGenerator::saveState(StateWriter& w) const
+TrafficGenerator::serialize(Io& io)
 {
-    saveRng(w, rng_);
-    w.u64(nextMsgId_);
-    // Same bytes from either storage mode: sorted, and only pairs
-    // that communicated (the dense matrix's zeros are the sparse
-    // map's absent keys).
+    serializeRng(io, rng_);
+    io.u64(nextMsgId_);
+    // Same bytes from either storage mode: sorted (src << 32 | dst)
+    // keys, and only pairs that communicated (the dense matrix's zeros
+    // are the sparse map's absent keys).
+    const std::size_t n = topo_.numNodes();
     std::vector<std::pair<std::uint64_t, std::uint32_t>> seqs;
-    if (!pairSeqDense_.empty()) {
-        const std::size_t n = topo_.numNodes();
-        for (std::size_t src = 0; src < n; ++src) {
-            for (std::size_t dst = 0; dst < n; ++dst) {
-                const std::uint32_t seq =
-                    pairSeqDense_[src * n + dst];
-                if (seq != 0)
-                    seqs.emplace_back((static_cast<std::uint64_t>(src)
-                                       << 32) |
-                                          dst,
-                                      seq);
+    if constexpr (!Io::kLoading) {
+        if (!pairSeqDense_.empty()) {
+            for (std::size_t src = 0; src < n; ++src) {
+                for (std::size_t dst = 0; dst < n; ++dst) {
+                    const std::uint32_t seq = pairSeqDense_[src * n + dst];
+                    if (seq != 0)
+                        seqs.emplace_back(
+                            (std::uint64_t{src} << 32) | dst, seq);
+                }
             }
+        } else {
+            seqs = sortedCopy(pairSeqSparse_);
         }
-    } else {
-        seqs.assign(pairSeqSparse_.begin(), pairSeqSparse_.end());
-        std::sort(seqs.begin(), seqs.end());
     }
-    w.u64(seqs.size());
-    for (const auto& [key, seq] : seqs) {
-        w.u64(key);
-        w.u32(seq);
+    lengthPrefixed(io, seqs, [&io](auto& entry) {
+        io.u64(entry.first);
+        io.u32(entry.second);
+    });
+    if constexpr (Io::kLoading) {
+        std::fill(pairSeqDense_.begin(), pairSeqDense_.end(), 0u);
+        pairSeqSparse_.clear();
+        for (const auto& [key, seq] : seqs) {
+            const std::size_t src = checkedIndex(key >> 32, n, "source node");
+            const std::size_t dst = checkedIndex(
+                static_cast<std::uint32_t>(key), n, "destination node");
+            if (!pairSeqDense_.empty())
+                pairSeqDense_[src * n + dst] = seq;
+            else
+                pairSeqSparse_.emplace(key, seq);
+        }
     }
 }
 
-void
-TrafficGenerator::loadState(StateReader& r)
-{
-    loadRng(r, rng_);
-    nextMsgId_ = r.u64();
-    if (!pairSeqDense_.empty())
-        std::fill(pairSeqDense_.begin(), pairSeqDense_.end(), 0u);
-    pairSeqSparse_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t key = r.u64();
-        const std::uint32_t seq = r.u32();
-        if (!pairSeqDense_.empty()) {
-            pairSeqDense_[static_cast<std::size_t>(key >> 32) *
-                              topo_.numNodes() +
-                          static_cast<std::uint32_t>(key)] = seq;
-        } else {
-            pairSeqSparse_.emplace(key, seq);
-        }
-    }
-}
+template void TrafficGenerator::serialize(StateWriter&);
+template void TrafficGenerator::serialize(StateReader&);
 
 } // namespace crnet

@@ -25,9 +25,6 @@
 
 namespace crnet {
 
-class StateWriter;
-class StateReader;
-
 /** Per-network message source. */
 class TrafficGenerator
 {
@@ -87,8 +84,8 @@ class TrafficGenerator
     // --- Checkpoint support (snapshot.hh) ---------------------------
 
     /** RNG stream, id counter and pairSeq table. */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Io>
+    void serialize(Io& io);
 
     /** Replace the RNG stream (warm-start reseeding). */
     void setRng(const Rng& rng) { rng_ = rng; }
