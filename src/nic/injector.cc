@@ -1,6 +1,7 @@
 #include "src/nic/injector.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "src/nic/backoff.hh"
 #include "src/nic/padding.hh"
@@ -18,6 +19,7 @@ Injector::Injector(NodeId node, const SimConfig& cfg,
       rng_(rng),
       slots_(static_cast<std::size_t>(cfg.injectionChannels) *
              cfg.numVcs),
+      busyDests_(slots_.size(), kInvalidNode),
       rrVc_(cfg.injectionChannels, 0),
       channelUsed_(cfg.injectionChannels, false)
 {
@@ -66,6 +68,7 @@ Injector::enqueue(const PendingMessage& msg)
     }
     queue_.push_back(msg);
     queueMinNotBefore_ = std::min(queueMinNotBefore_, msg.notBefore);
+    admissionBlockedUntil_ = 0;
     return true;
 }
 
@@ -75,6 +78,51 @@ Injector::recomputeQueueMin()
     queueMinNotBefore_ = kNeverCycle;
     for (const PendingMessage& m : queue_)
         queueMinNotBefore_ = std::min(queueMinNotBefore_, m.notBefore);
+}
+
+void
+Injector::requeueFront(const PendingMessage& msg)
+{
+    queue_.push_front(msg);
+    queueMinNotBefore_ = std::min(queueMinNotBefore_, msg.notBefore);
+    admissionBlockedUntil_ = 0;
+}
+
+bool
+Injector::destBusy(NodeId dst) const
+{
+    const NodeId* end = busyDests_.data() + busyCount_;
+    return std::binary_search(busyDests_.data(), end, dst);
+}
+
+void
+Injector::reserveDest(NodeId dst)
+{
+    NodeId* begin = busyDests_.data();
+    NodeId* end = begin + busyCount_;
+    NodeId* pos = std::lower_bound(begin, end, dst);
+    if (pos != end && *pos == dst)
+        return;
+    if (busyCount_ == busyDests_.size())
+        panic("more busy destinations than injection slots at node ",
+              node_);
+    std::copy_backward(pos, end, end + 1);
+    *pos = dst;
+    ++busyCount_;
+    admissionBlockedUntil_ = 0;
+}
+
+void
+Injector::releaseDest(NodeId dst)
+{
+    NodeId* begin = busyDests_.data();
+    NodeId* end = begin + busyCount_;
+    NodeId* pos = std::lower_bound(begin, end, dst);
+    if (pos == end || *pos != dst)
+        return;
+    std::copy(pos + 1, end, pos);
+    --busyCount_;
+    admissionBlockedUntil_ = 0;
 }
 
 void
@@ -113,10 +161,8 @@ Injector::acceptAbort(std::uint32_t inj_channel, VcId vc, MsgId msg)
         if (s.state == Slot::State::Active) {
             if (s.nextSeq != 0)
                 return;
-            busyDests_.erase(s.msg.dst);
-            queue_.push_front(s.msg);
-            queueMinNotBefore_ =
-                std::min(queueMinNotBefore_, s.msg.notBefore);
+            releaseDest(s.msg.dst);
+            requeueFront(s.msg);
         }
         s.state = Slot::State::Cooldown;
         s.cooldownUntil = 0;
@@ -151,7 +197,7 @@ Injector::requeueForRetry(PendingMessage msg, Cycle now)
             trace_->record(TraceEventKind::GiveUp, msg.id, node_,
                            node_, msg.dst, msg.attempt);
         }
-        busyDests_.erase(msg.dst);
+        releaseDest(msg.dst);
         failed.push_back(FailedMessage{msg, now});
         return;
     }
@@ -161,14 +207,13 @@ Injector::requeueForRetry(PendingMessage msg, Cycle now)
                        node_, msg.dst, msg.attempt,
                        msg.notBefore - now);
     }
-    queue_.push_front(msg);
-    queueMinNotBefore_ = std::min(queueMinNotBefore_, msg.notBefore);
+    requeueFront(msg);
     // The worm is out of the network, so release the destination
     // reservation. No younger message to the same destination can
     // overtake the retry anyway: the retry sits at the front of the
     // queue and startWorms() skips any destination already seen
     // earlier in the scan.
-    busyDests_.erase(msg.dst);
+    releaseDest(msg.dst);
 }
 
 Flit
@@ -268,38 +313,54 @@ Injector::killWorm(std::uint32_t ch, VcId vc, Cycle now)
 void
 Injector::startWorms(Cycle now)
 {
+    // Entries scanned per free slot before the scan gives up.
+    constexpr std::uint32_t kAdmissionWindow = 16;
     for (std::uint32_t ch = 0; ch < cfg_.injectionChannels; ++ch) {
         for (VcId vc = 0; vc < cfg_.numVcs; ++vc) {
             Slot& s = slot(ch, vc);
             if (s.state != Slot::State::Free)
+                continue;
+            // Nothing queued is past its backoff, or the last scan
+            // failed and none of its inputs has changed since.
+            if (queueMinNotBefore_ > now || now < admissionBlockedUntil_)
                 continue;
 
             // Scan the queue in order; a message is eligible when its
             // backoff expired and (if ordering is enforced) no
             // earlier message, queued or in flight, targets the same
             // destination.
-            std::vector<NodeId>& seen = seenScratch_;
-            seen.clear();
+            std::array<NodeId, kAdmissionWindow> seen;
+            std::uint32_t nseen = 0;
+            Cycle retry_at = kNeverCycle;
             auto it = queue_.begin();
             for (; it != queue_.end(); ++it) {
                 const bool dst_clear = !cfg_.enforceDestOrder ||
-                    (!busyDests_.count(it->dst) &&
-                     std::find(seen.begin(), seen.end(), it->dst) ==
-                         seen.end());
-                if (dst_clear && it->notBefore <= now)
-                    break;
-                seen.push_back(it->dst);
-                if (seen.size() >= 16)
+                    (!destBusy(it->dst) &&
+                     std::find(seen.begin(), seen.begin() + nseen,
+                               it->dst) == seen.begin() + nseen);
+                if (dst_clear) {
+                    if (it->notBefore <= now)
+                        break;
+                    retry_at = std::min(retry_at, it->notBefore);
+                }
+                seen[nseen++] = it->dst;
+                if (nseen >= kAdmissionWindow)
                     it = queue_.end() - 1;  // Bound the scan cost.
             }
-            if (it == queue_.end())
+            if (it == queue_.end()) {
+                // Until queue_ or busyDests_ changes, every blocked
+                // entry stays blocked and the clear ones wait for
+                // their backoff, so the scan fails until retry_at.
+                admissionBlockedUntil_ = retry_at;
                 continue;
+            }
 
             PendingMessage msg = *it;
             queue_.erase(it);
+            admissionBlockedUntil_ = 0;
             if (msg.notBefore == queueMinNotBefore_)
                 recomputeQueueMin();
-            busyDests_.insert(msg.dst);
+            reserveDest(msg.dst);
 
             s.state = Slot::State::Active;
             s.msg = msg;
@@ -348,9 +409,10 @@ Injector::injectFlits(Cycle now)
     for (std::uint32_t ch = 0; ch < cfg_.injectionChannels; ++ch) {
         VcId injected_vc = kInvalidVc;
         if (!channelUsed_[ch]) {
-            for (std::uint32_t i = 0; i < cfg_.numVcs; ++i) {
-                const VcId vc = static_cast<VcId>(
-                    (rrVc_[ch] + i) % cfg_.numVcs);
+            VcId vc = rrVc_[ch];
+            for (std::uint32_t i = 0; i < cfg_.numVcs; ++i,
+                 vc = vc + 1u == cfg_.numVcs ? 0
+                                             : static_cast<VcId>(vc + 1)) {
                 Slot& s = slot(ch, vc);
                 if (s.state != Slot::State::Active)
                     continue;
@@ -380,7 +442,8 @@ Injector::injectFlits(Cycle now)
                 CRNET_AUDIT_HOOK(audit_, onFlitInjected(node_, f));
                 if (f.type == FlitType::Pad)
                     stats_->padFlitsInjected.inc();
-                rrVc_[ch] = static_cast<VcId>((vc + 1) % cfg_.numVcs);
+                rrVc_[ch] = vc + 1u == cfg_.numVcs
+                    ? 0 : static_cast<VcId>(vc + 1);
                 injected_vc = vc;
 
                 if (f.type == FlitType::Tail) {
@@ -402,7 +465,7 @@ Injector::injectFlits(Cycle now)
                         committedStats.push_back(
                             CommittedSample{att, pad});
                     }
-                    busyDests_.erase(s.msg.dst);
+                    releaseDest(s.msg.dst);
                     s.state = Slot::State::Free;
                 }
                 break;
@@ -552,9 +615,32 @@ Injector::serialize(Io& io)
         io.u64(s.stallCycles);
         io.u64(s.headInjectedAt);
     }
-    sortedByKey(io, busyDests_, [&io](NodeId& dst) { io.u32(dst); });
-    for (VcId& vc : rrVc_)
+    // The reserved destinations, ascending (the layout of a sorted
+    // set walk).
+    std::uint64_t busy = busyCount_;
+    io.length(busy);
+    if constexpr (Io::kLoading) {
+        if (busy > busyDests_.size())
+            panic("snapshot has ", busy, " busy destinations for ",
+                  busyDests_.size(), " injection slots at node ", node_);
+        busyCount_ = static_cast<std::uint32_t>(busy);
+        admissionBlockedUntil_ = 0;
+    }
+    for (std::uint32_t i = 0; i < busyCount_; ++i) {
+        io.u32(busyDests_[i]);
+        if constexpr (Io::kLoading) {
+            checkedIndex(busyDests_[i], topo_.numNodes(),
+                         "busy destination");
+            if (i > 0 && busyDests_[i] <= busyDests_[i - 1])
+                panic("snapshot busy destinations not strictly "
+                      "ascending at node ", node_);
+        }
+    }
+    for (VcId& vc : rrVc_) {
         io.u16(vc);
+        if constexpr (Io::kLoading)
+            checkedIndex(vc, cfg_.numVcs, "injector round-robin VC");
+    }
     serializeRng(io, rng_);
     if constexpr (Io::kLoading) {
         sent.clear();

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/annotations.hh"
@@ -208,9 +207,6 @@ class Injector
 
     Slot& slot(std::uint32_t ch, VcId vc);
     const Slot& slot(std::uint32_t ch, VcId vc) const;
-    CRNET_ALLOW("alloc",
-                "seenScratch_/busyDests_ reuse: amortized growth "
-                "only, steady-state-free (tests/test_alloc_steady.cc)")
     void startWorms(Cycle now);
     void checkTimeouts(Cycle now);
     void injectFlits(Cycle now);
@@ -224,6 +220,11 @@ class Injector
     bool timeoutExpired(const Slot& s, Cycle now) const;
     /** Rescan queue_ for the exact min notBefore (erase-of-min). */
     void recomputeQueueMin();
+    /** Put a message back at the front of queue_. */
+    void requeueFront(const PendingMessage& msg);
+    bool destBusy(NodeId dst) const;
+    void reserveDest(NodeId dst);
+    void releaseDest(NodeId dst);
 
     NodeId node_;
     const SimConfig& cfg_;
@@ -246,10 +247,25 @@ class Injector
     /** Aborts accepted during delivery, requeued at the next tick. */
     std::vector<PendingMessage> pendingRetries_;
     std::vector<Slot> slots_;  //!< [channel][vc] flattened.
-    std::unordered_set<NodeId> busyDests_;
+    /**
+     * Destinations reserved by in-flight worms, a set kept as the
+     * ascending prefix busyDests_[0, busyCount_). Every entry belongs
+     * to at least one Active slot, so the array is sized once to the
+     * slot count and admission never allocates or hashes.
+     */
+    std::vector<NodeId> busyDests_;
+    std::uint32_t busyCount_ = 0;
+    /**
+     * Admission memo: the last startWorms scan found nothing, and with
+     * queue_ and busyDests_ unchanged it keeps finding nothing before
+     * this cycle (the earliest backoff expiry among the scanned
+     * entries whose destination was clear). Every change to either
+     * container resets it to 0. Derived state: not serialized, reset
+     * on restore.
+     */
+    Cycle admissionBlockedUntil_ = 0;
     std::vector<VcId> rrVc_;   //!< Injection arbitration per channel.
     std::vector<bool> channelUsed_;  //!< One flit/channel/cycle.
-    std::vector<NodeId> seenScratch_;  //!< startWorms queue-scan reuse.
 };
 
 } // namespace crnet

@@ -417,9 +417,9 @@ Receiver::tick(Cycle now)
             checkStarvation(now);
     }
     for (std::uint32_t ch = 0; ch < cfg_.ejectionChannels; ++ch) {
-        for (std::uint32_t i = 0; i < cfg_.numVcs; ++i) {
-            const VcId vc = static_cast<VcId>(
-                (rrVc_[ch] + i) % cfg_.numVcs);
+        VcId vc = rrVc_[ch];
+        for (std::uint32_t i = 0; i < cfg_.numVcs; ++i,
+             vc = vc + 1u == cfg_.numVcs ? 0 : static_cast<VcId>(vc + 1)) {
             VcBuffer& b = vcBuf(ch, vc);
             if (b.buf.empty())
                 continue;
@@ -429,7 +429,8 @@ Receiver::tick(Cycle now)
             consume(ch, vc, now);
             if (credits.size() != before) {
                 // Consumed: one flit per ejection channel per cycle.
-                rrVc_[ch] = static_cast<VcId>((vc + 1) % cfg_.numVcs);
+                rrVc_[ch] = vc + 1u == cfg_.numVcs
+                    ? 0 : static_cast<VcId>(vc + 1);
                 break;
             }
             // Refused at the head: try another VC this cycle.
@@ -505,8 +506,11 @@ Receiver::serialize(Io& io)
         io.b(vb.refusing);
         io.u64(vb.refusedMsg);
     }
-    for (VcId& vc : rrVc_)
+    for (VcId& vc : rrVc_) {
         io.u16(vc);
+        if constexpr (Io::kLoading)
+            checkedIndex(vc, cfg_.numVcs, "receiver round-robin VC");
+    }
 
     sortedByKey(io, assemblies_, [&io](auto& entry) {
         Assembly& a = entry.second;

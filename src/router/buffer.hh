@@ -7,19 +7,24 @@
  *
  * Two storage modes share the same queue logic:
  *   - *Owning* (the historical mode): the buffer allocates its own
- *     slot vector. Standalone components (tests, the receiver's
+ *     slot array. Standalone components (tests, the receiver's
  *     ejection VCs) use this.
  *   - *Bound*: the buffer indexes a caller-owned slot slice via
  *     `bind()`. The router structure-of-arrays pool packs every VC
  *     buffer of every node into one contiguous flit array so the
  *     sharded hot path walks cache-dense state (docs/PERFORMANCE.md).
+ *
+ * Indices are 32-bit and wrap by compare-and-subtract (head + count
+ * never exceeds twice the capacity), so no operation divides.
  */
 
 #ifndef CRNET_ROUTER_BUFFER_HH
 #define CRNET_ROUTER_BUFFER_HH
 
 #include <cstddef>
-#include <vector>
+#include <cstdint>
+#include <limits>
+#include <memory>
 
 #include "src/sim/log.hh"
 #include "src/router/flit.hh"
@@ -35,10 +40,10 @@ class FlitBuffer
 
     /** @param capacity Maximum number of buffered flits (> 0). */
     explicit FlitBuffer(std::size_t capacity)
-        : owned_(capacity), cap_(capacity)
+        : cap_(checkedCapacity(capacity))
     {
-        if (capacity == 0)
-            panic("FlitBuffer capacity must be > 0");
+        owned_ = std::make_unique<Flit[]>(cap_);
+        slots_ = owned_.get();
     }
 
     /**
@@ -49,14 +54,13 @@ class FlitBuffer
     void
     bind(Flit* slots, std::size_t cap)
     {
-        if (!slots || cap == 0)
+        if (!slots)
             panic("FlitBuffer::bind needs storage with capacity > 0");
         if (count_ != 0)
             panic("FlitBuffer::bind on a non-empty buffer");
-        owned_.clear();
-        owned_.shrink_to_fit();
-        bound_ = slots;
-        cap_ = cap;
+        cap_ = checkedCapacity(cap);
+        owned_.reset();
+        slots_ = slots;
         head_ = 0;
     }
 
@@ -72,7 +76,7 @@ class FlitBuffer
         if (full())
             panic("FlitBuffer overflow (msg ", flit.msg, ", seq ",
                   flit.seq, ")");
-        slots()[(head_ + count_) % cap_] = flit;
+        slots_[wrap(head_ + count_)] = flit;
         ++count_;
     }
 
@@ -82,7 +86,7 @@ class FlitBuffer
     {
         if (empty())
             panic("FlitBuffer::front on empty buffer");
-        return slots()[head_];
+        return slots_[head_];
     }
 
     /** Mutable access to the oldest flit (header state updates). */
@@ -91,7 +95,7 @@ class FlitBuffer
     {
         if (empty())
             panic("FlitBuffer::frontMutable on empty buffer");
-        return slots()[head_];
+        return slots_[head_];
     }
 
     /** Remove and return the oldest flit. */
@@ -100,8 +104,8 @@ class FlitBuffer
     {
         if (empty())
             panic("FlitBuffer::pop on empty buffer");
-        Flit f = slots()[head_];
-        head_ = (head_ + 1) % cap_;
+        const Flit& f = slots_[head_];
+        head_ = wrap(head_ + 1);
         --count_;
         return f;
     }
@@ -115,7 +119,7 @@ class FlitBuffer
     {
         if (i >= count_)
             panic("FlitBuffer::peek(", i, ") with ", count_, " buffered");
-        return slots()[(head_ + i) % cap_];
+        return slots_[wrap(head_ + static_cast<std::uint32_t>(i))];
     }
 
     /** Drop all contents (kill-token purge); returns dropped count. */
@@ -129,14 +133,27 @@ class FlitBuffer
     }
 
   private:
-    Flit* slots() { return bound_ ? bound_ : owned_.data(); }
-    const Flit* slots() const { return bound_ ? bound_ : owned_.data(); }
+    static std::uint32_t
+    checkedCapacity(std::size_t cap)
+    {
+        if (cap == 0 || cap > std::numeric_limits<std::uint32_t>::max() / 2)
+            panic("FlitBuffer capacity must be > 0 and fit 31 bits, got ",
+                  cap);
+        return static_cast<std::uint32_t>(cap);
+    }
 
-    std::vector<Flit> owned_;
-    Flit* bound_ = nullptr;      //!< Pool-owned slice when bound.
-    std::size_t cap_ = 0;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
+    /** Fold a slot index in [0, 2*cap) back into the ring. */
+    std::uint32_t
+    wrap(std::uint32_t i) const
+    {
+        return i >= cap_ ? i - cap_ : i;
+    }
+
+    std::unique_ptr<Flit[]> owned_;  //!< Storage when not bound.
+    Flit* slots_ = nullptr;          //!< owned_ or the pool slice.
+    std::uint32_t cap_ = 0;
+    std::uint32_t head_ = 0;
+    std::uint32_t count_ = 0;
 };
 
 } // namespace crnet

@@ -22,14 +22,38 @@ namespace crnet {
 /** Kind of flit. */
 enum class FlitType : std::uint8_t { Head, Body, Pad, Tail, Kill };
 
-/** One flow-control unit. */
+/**
+ * One flow-control unit. Fields are ordered widest first so the struct
+ * packs into one 64-byte cache line (buffers and wave registers copy
+ * it on every hop); snapshots serialize it field by field in their own
+ * fixed order, independent of this layout.
+ */
 struct Flit
 {
-    FlitType type = FlitType::Body;
     MsgId msg = kInvalidMsg;
+
+    // --- Header-only metadata (meaningful when type == Head or, for
+    // --- bookkeeping, copied onto Kill tokens) -----------------------
+    /** Cycle the message was created (total-latency measurement). */
+    Cycle createdAt = 0;
+    /** Cycle this attempt's head entered the network. */
+    Cycle headInjectedAt = 0;
+
+    /** Modeled data word; CRC is computed over this. */
+    std::uint64_t payload = 0;
+
     std::uint32_t seq = 0;       //!< Position in the worm; head is 0.
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
+    /** Payload flits in the message, including the head flit. */
+    std::uint32_t payloadLen = 0;
+    /** Per-(src,dst) message sequence number (order checking). */
+    std::uint32_t pairSeq = 0;
+
+    /** Which transmission attempt of the message this flit belongs to. */
+    std::uint16_t attempt = 0;
+
+    FlitType type = FlitType::Body;
 
     /**
      * Dateline/escape class used by DOR and Duato routing; updated by
@@ -41,24 +65,8 @@ struct Flit
     /** Remaining non-minimal hops this header may take (FCR retries). */
     std::uint8_t misrouteBudget = 0;
 
-    /** Which transmission attempt of the message this flit belongs to. */
-    std::uint16_t attempt = 0;
-
-    // --- Header-only metadata (meaningful when type == Head or, for
-    // --- bookkeeping, copied onto Kill tokens) -----------------------
-    /** Payload flits in the message, including the head flit. */
-    std::uint32_t payloadLen = 0;
-    /** Per-(src,dst) message sequence number (order checking). */
-    std::uint32_t pairSeq = 0;
-    /** Cycle the message was created (total-latency measurement). */
-    Cycle createdAt = 0;
-    /** Cycle this attempt's head entered the network. */
-    Cycle headInjectedAt = 0;
     /** Message is eligible for statistics (measurement window). */
     bool measured = false;
-
-    /** Modeled data word; CRC is computed over this. */
-    std::uint64_t payload = 0;
 
     /** Checksum as computed by the sender over the original payload. */
     std::uint8_t crc = 0;
@@ -82,6 +90,8 @@ struct Flit
     /** True when the payload still matches its checksum. */
     bool checksumOk() const { return crc8(payload) == crc; }
 };
+
+static_assert(sizeof(Flit) == 64, "Flit must fill exactly one cache line");
 
 } // namespace crnet
 

@@ -29,6 +29,7 @@ Router::StatePool::StatePool(const SimConfig& cfg,
     // routers hold raw base pointers into them.
     flitSlots_.resize(inVcs * depth_);
     inputs_.resize(inVcs);
+    killFlits_.resize(inVcs);
     outputs_.resize(outVcs);
     rrInVc_.assign(static_cast<std::size_t>(nodes) * inPorts_, 0);
     rrOutIn_.assign(static_cast<std::size_t>(nodes) * outPorts_, 0);
@@ -43,6 +44,7 @@ Router::StatePool::bytes() const
 {
     return flitSlots_.capacity() * sizeof(Flit) +
            inputs_.capacity() * sizeof(InputVc) +
+           killFlits_.capacity() * sizeof(Flit) +
            outputs_.capacity() * sizeof(OutputVc) +
            rrInVc_.capacity() * sizeof(VcId) +
            rrOutIn_.capacity() * sizeof(PortId) +
@@ -91,6 +93,7 @@ Router::attach(StatePool& pool, std::uint64_t index)
     }
 
     inputs_ = &pool.inputs_[index * numInVcs()];
+    killFlits_ = &pool.killFlits_[index * numInVcs()];
     outputs_ = &pool.outputs_[index * numOutVcs()];
     rrInVc_ = &pool.rrInVc_[index * numInPorts_];
     rrOutIn_ = &pool.rrOutIn_[index * numOutPorts_];
@@ -104,9 +107,7 @@ Router::attach(StatePool& pool, std::uint64_t index)
         }
     }
 
-    byOut_.resize(numOutPorts_);
-    for (auto& reqs : byOut_)
-        reqs.reserve(numInVcs());
+    switchBest_.assign(numOutPorts_, SwitchReq{});
     scratch_.reserve(numOutVcs());
     sentFlits.reserve(numOutVcs());
     sentCredits.reserve(numInVcs());
@@ -125,6 +126,12 @@ const Router::InputVc&
 Router::ivc(PortId p, VcId v) const
 {
     return inputs_[static_cast<std::size_t>(p) * numVcs_ + v];
+}
+
+Flit&
+Router::killFlit(PortId p, VcId v)
+{
+    return killFlits_[static_cast<std::size_t>(p) * numVcs_ + v];
 }
 
 Router::OutputVc&
@@ -160,7 +167,7 @@ Router::acceptFlit(PortId in_port, VcId vc, const Flit& flit)
                       " found msg ", in.msg, " at node ", id_);
             }
             in.killPending = true;
-            in.killFlit = flit;
+            killFlit(in_port, vc) = flit;
             in.killOutPort = in.outPort;
             in.killOutVc = in.outVc;
             break;
@@ -310,12 +317,12 @@ Router::forwardKills()
             if (outPortBusy_[o])
                 continue;  // Another kill claimed the channel; wait.
             outPortBusy_[o] = 1;
-            sentFlits.push_back(SentFlit{o, in.killOutVc, in.killFlit});
+            const Flit& token = killFlit(p, v);
+            sentFlits.push_back(SentFlit{o, in.killOutVc, token});
             stats_->killsForwarded.inc();
             if (trace_ != nullptr) {
-                trace_->record(TraceEventKind::KillHop, in.killFlit.msg,
-                               id_, in.killFlit.src, in.killFlit.dst,
-                               in.killFlit.attempt, o);
+                trace_->record(TraceEventKind::KillHop, token.msg, id_,
+                               token.src, token.dst, token.attempt, o);
             }
             OutputVc& out = ovc(o, in.killOutVc);
             out.allocated = false;
@@ -361,10 +368,10 @@ Router::routeHeaders(Cycle now)
                     numOutPorts_ - ejBase());
                 const auto start = static_cast<std::uint32_t>(
                     rng_.below(ej_ports));
+                std::uint32_t ej = start;
                 for (std::uint32_t i = 0; i < ej_ports && !allocated;
-                     ++i) {
-                    const PortId ep = static_cast<PortId>(
-                        ejBase() + (start + i) % ej_ports);
+                     ++i, ej = ej + 1 == ej_ports ? 0 : ej + 1) {
+                    const PortId ep = static_cast<PortId>(ejBase() + ej);
                     for (VcId ev = 0; ev < numVcs_; ++ev) {
                         OutputVc& o = ovc(ep, ev);
                         if (o.allocated ||
@@ -429,17 +436,16 @@ Router::routeHeaders(Cycle now)
 void
 Router::allocateSwitch(Cycle)
 {
-    // Phase 1: each input port nominates one VC (round-robin scan).
-    // The per-output buckets are members so their capacity survives
-    // across ticks (zero steady-state allocation).
-    for (auto& reqs : byOut_)
-        reqs.clear();
-
+    // Phase 1: each input port nominates one VC (round-robin scan),
+    // and each output port keeps the nomination nearest after its
+    // round-robin pointer. An input port nominates at most once, so
+    // distances to one output are distinct and the kept nomination is
+    // the one a full scan of every request would pick.
     for (PortId p = 0; p < numInPorts_; ++p) {
-        for (std::uint32_t i = 0; i < numVcs_; ++i) {
-            const VcId v = static_cast<VcId>(
-                (rrInVc_[p] + i) % numVcs_);
-            InputVc& in = ivc(p, v);
+        VcId v = rrInVc_[p];
+        for (std::uint32_t i = 0; i < numVcs_;
+             ++i, v = v + 1u == numVcs_ ? 0 : static_cast<VcId>(v + 1)) {
+            const InputVc& in = ivc(p, v);
             if (in.state != InputVc::State::Active || in.buf.empty())
                 continue;
             if (outPortBusy_[in.outPort])
@@ -447,44 +453,41 @@ Router::allocateSwitch(Cycle)
             const OutputVc& o = ovc(in.outPort, in.outVc);
             if (o.credits == 0)
                 continue;
-            byOut_[in.outPort].push_back(SwitchReq{p, v});
+            SwitchReq& best = switchBest_[in.outPort];
+            const PortId rr = rrOutIn_[in.outPort];
+            const auto dist = static_cast<PortId>(
+                p >= rr ? p - rr : p + numInPorts_ - rr);
+            if (best.inPort == kInvalidPort || dist < best.dist)
+                best = SwitchReq{p, v, dist};
             break;  // One nomination per input port.
         }
     }
 
-    // Phase 2: each output port picks one winner (round-robin).
+    // Phase 2: each output port moves its winner's flit, in port
+    // order, and leaves its entry empty for the next tick.
     for (PortId o = 0; o < numOutPorts_; ++o) {
-        auto& reqs = byOut_[o];
-        if (reqs.empty())
+        SwitchReq& best = switchBest_[o];
+        if (best.inPort == kInvalidPort)
             continue;
-        const SwitchReq* winner = &reqs[0];
-        std::uint32_t best = numInPorts_;
-        for (const SwitchReq& r : reqs) {
-            const std::uint32_t dist =
-                (r.inPort + numInPorts_ - rrOutIn_[o]) % numInPorts_;
-            if (dist < best) {
-                best = dist;
-                winner = &r;
-            }
-        }
-        InputVc& in = ivc(winner->inPort, winner->inVc);
+        const PortId wp = best.inPort;
+        const VcId wv = best.inVc;
+        best.inPort = kInvalidPort;
+        InputVc& in = ivc(wp, wv);
         OutputVc& out = ovc(in.outPort, in.outVc);
         Flit flit = in.buf.pop();
         if (flit.isHead() && o < networkPorts_)
             algo_.onTraverse(id_, o, flit);
         --out.credits;
         sentFlits.push_back(SentFlit{o, in.outVc, flit});
-        sentCredits.push_back(SentCredit{winner->inPort,
-                                         winner->inVc});
+        sentCredits.push_back(SentCredit{wp, wv});
         stats_->flitsForwarded.inc();
         if (heatTracking_)
             ++heatForwarded_[o];
         in.movedThisCycle = true;
         in.stallCycles = 0;
-        rrInVc_[winner->inPort] =
-            static_cast<VcId>((winner->inVc + 1) % numVcs_);
-        rrOutIn_[o] = static_cast<PortId>(
-            (winner->inPort + 1) % numInPorts_);
+        rrInVc_[wp] = wv + 1u == numVcs_ ? 0 : static_cast<VcId>(wv + 1);
+        rrOutIn_[o] = wp + 1u == numInPorts_ ? 0
+                                             : static_cast<PortId>(wp + 1);
         if (flit.isTail()) {
             out.allocated = false;  // Credits drain back naturally.
             in.state = InputVc::State::Idle;
@@ -518,7 +521,7 @@ Router::killWormAt(PortId p, VcId v)
         token.attempt = in.attempt;
         CRNET_AUDIT_HOOK(audit_, onKillIssued(msg, in.attempt));
         in.killPending = true;
-        in.killFlit = token;
+        killFlit(p, v) = token;
         in.killOutPort = in.outPort;
         in.killOutVc = in.outVc;
     }
@@ -578,7 +581,7 @@ Router::onInputLinkDead(PortId in_port, Cycle now)
             token.attempt = in.attempt;
             CRNET_AUDIT_HOOK(audit_, onKillIssued(msg, in.attempt));
             in.killPending = true;
-            in.killFlit = token;
+            killFlit(in_port, v) = token;
             in.killOutPort = in.outPort;
             in.killOutVc = in.outVc;
         } else {
@@ -646,14 +649,29 @@ Router::tick(Cycle now)
     sentAborts.clear();
     std::fill(outPortBusy_, outPortBusy_ + numOutPorts_,
               std::uint8_t{0});
+    // One pass over the input VCs clears the progress flags and notes
+    // which stages have anything to look at. Backward kills below only
+    // idle VCs, so the notes stay a superset of the work; a stage with
+    // no candidate VC would change nothing and draw no random number.
+    bool kills = false;
+    bool routing = false;
+    bool active = false;
     const std::size_t nin = numInVcs();
-    for (std::size_t i = 0; i < nin; ++i)
-        inputs_[i].movedThisCycle = false;
+    for (std::size_t i = 0; i < nin; ++i) {
+        InputVc& in = inputs_[i];
+        in.movedThisCycle = false;
+        kills |= in.killPending;
+        routing |= in.state == InputVc::State::Routing;
+        active |= in.state == InputVc::State::Active;
+    }
 
     processBkills();
-    forwardKills();
-    routeHeaders(now);
-    allocateSwitch(now);
+    if (kills)
+        forwardKills();
+    if (routing)
+        routeHeaders(now);
+    if (routing || active)
+        allocateSwitch(now);
     if (cfg_.timeoutScheme == TimeoutScheme::PathWide ||
         cfg_.timeoutScheme == TimeoutScheme::DropAtBlock) {
         checkRouterTimeouts();
@@ -795,10 +813,21 @@ Router::serialize(Io& io)
         io.b(in.movedThisCycle);
         io.b(in.blockTraced);
         io.b(in.killPending);
-        serializeFlit(io, in.killFlit);
+        serializeFlit(io, killFlits_[i]);
         io.u16(in.killOutPort);
         io.u16(in.killOutVc);
         io.u64(in.purgeMsg);
+        if constexpr (Io::kLoading) {
+            const bool active = in.state == InputVc::State::Active;
+            checkedIndexOrUnset(in.outPort, numOutPorts_, active,
+                                "input-VC output port");
+            checkedIndexOrUnset(in.outVc, numVcs_, active,
+                                "input-VC output VC");
+            checkedIndexOrUnset(in.killOutPort, numOutPorts_,
+                                in.killPending, "kill output port");
+            checkedIndexOrUnset(in.killOutVc, numVcs_, in.killPending,
+                                "kill output VC");
+        }
     }
     const std::size_t nout = numOutVcs();
     for (std::size_t i = 0; i < nout; ++i) {
@@ -809,15 +838,32 @@ Router::serialize(Io& io)
         io.u32(out.credits);
         io.b(out.ejection);
         io.u64(out.quarantineUntil);
+        if constexpr (Io::kLoading) {
+            checkedIndexOrUnset(out.holderPort, numInPorts_,
+                                out.allocated, "output-VC holder port");
+            checkedIndexOrUnset(out.holderVc, numVcs_, out.allocated,
+                                "output-VC holder VC");
+        }
     }
-    lengthPrefixed(io, pendingBkillsAsOut_, [&io](SentBkill& bk) {
+    lengthPrefixed(io, pendingBkillsAsOut_, [&io, this](SentBkill& bk) {
         io.u16(bk.inPort);
         io.u16(bk.vc);
+        if constexpr (Io::kLoading) {
+            checkedIndex(bk.inPort, numOutPorts_, "bkill output port");
+            checkedIndex(bk.vc, numVcs_, "bkill output VC");
+        }
     });
-    for (PortId p = 0; p < numInPorts_; ++p)
+    for (PortId p = 0; p < numInPorts_; ++p) {
         io.u16(rrInVc_[p]);
-    for (PortId p = 0; p < numOutPorts_; ++p)
+        if constexpr (Io::kLoading)
+            checkedIndex(rrInVc_[p], numVcs_, "input round-robin VC");
+    }
+    for (PortId p = 0; p < numOutPorts_; ++p) {
         io.u16(rrOutIn_[p]);
+        if constexpr (Io::kLoading)
+            checkedIndex(rrOutIn_[p], numInPorts_,
+                         "output round-robin input port");
+    }
     fixedFlag(io, heatTracking_, "heat-tracking");
     if (heatTracking_) {
         for (std::uint64_t& v : heatForwarded_)

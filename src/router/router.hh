@@ -17,7 +17,8 @@
  * network links, [2n, 2n+E) are ejection channels to the local NIC.
  *
  * Storage layout: all mutable per-VC state (flit slots, input/output
- * VC state machines, round-robin pointers, port-busy scratch) lives
+ * VC state machines, stored kill tokens, round-robin pointers,
+ * port-busy scratch) lives
  * in a `Router::StatePool` — per-field arrays spanning every router
  * of one network, indexed by node id. Each Router instance holds raw
  * base pointers into its pool slice, so the hot path is unchanged
@@ -116,28 +117,35 @@ struct SentAbort
 class Router
 {
   private:
-    /** Per-input-VC state machine. */
+    /**
+     * Per-input-VC state machine. Five per-tick sweeps walk these
+     * records, so they hold only hot fields (the stored kill token
+     * lives in the pool's parallel killFlits_ array) and stay within
+     * 96 bytes.
+     */
     struct InputVc
     {
-        enum class State { Idle, Routing, Active };
+        enum class State : std::uint8_t { Idle, Routing, Active };
 
         FlitBuffer buf;                 //!< Bound to pool flit slots.
-        State state = State::Idle;
         MsgId msg = kInvalidMsg;
+        Cycle stallCycles = 0;          //!< For the path-wide scheme.
+        Cycle headArrivedAt = 0;        //!< Header accept (forensics).
+        MsgId purgeMsg = kInvalidMsg;   //!< Drop stragglers of this.
         std::uint16_t attempt = 0;      //!< Attempt of current worm.
         PortId outPort = kInvalidPort;  //!< Allocation when Active.
         VcId outVc = kInvalidVc;
-        Cycle stallCycles = 0;          //!< For the path-wide scheme.
-        Cycle headArrivedAt = 0;        //!< Header accept (forensics).
+        PortId killOutPort = kInvalidPort;
+        VcId killOutVc = kInvalidVc;
+        State state = State::Idle;
         bool movedThisCycle = false;    //!< Progress flag (stall calc).
         bool blockTraced = false;       //!< Block event emitted for
                                         //!< the current stall episode.
-        bool killPending = false;       //!< Kill token to forward.
-        Flit killFlit;                  //!< The stored token.
-        PortId killOutPort = kInvalidPort;
-        VcId killOutVc = kInvalidVc;
-        MsgId purgeMsg = kInvalidMsg;   //!< Drop stragglers of this.
+        bool killPending = false;       //!< Kill token to forward
+                                        //!< (stored in killFlits_).
     };
+    static_assert(sizeof(InputVc) <= 96,
+                  "InputVc is swept five times per tick; keep it small");
 
     /** Per-output-VC bookkeeping. */
     struct OutputVc
@@ -190,6 +198,8 @@ class Router
 
         std::vector<Flit> flitSlots_;   //!< [node][inPort][vc][depth].
         std::vector<InputVc> inputs_;   //!< [node][inPort][vc].
+        /** Stored kill token per input VC (cold; parallel to inputs_). */
+        std::vector<Flit> killFlits_;   //!< [node][inPort][vc].
         std::vector<OutputVc> outputs_; //!< [node][outPort][vc].
         std::vector<VcId> rrInVc_;      //!< [node][inPort].
         std::vector<PortId> rrOutIn_;   //!< [node][outPort].
@@ -355,8 +365,8 @@ class Router
      * Serialize/restore every field that survives across ticks:
      * input/output VC state machines, pending backward kills,
      * round-robin pointers, heat counters and the RNG stream. The
-     * outboxes and per-cycle scratch (outPortBusy_, byOut_) are
-     * cleared at tick entry and need not round-trip. The byte stream
+     * outboxes and per-cycle scratch (outPortBusy_, switchBest_) are
+     * reset within every tick and need not round-trip. The byte stream
      * is identical whether the router is standalone or pool-backed
      * (state is walked per-router in node order either way).
      */
@@ -367,11 +377,15 @@ class Router
     void setRng(const Rng& rng) { rng_ = rng; }
 
   private:
-    /** One switch nomination: an input VC asking for its output port. */
+    /**
+     * The best switch nomination for one output port so far: the input
+     * VC whose port is nearest after the output's round-robin pointer.
+     */
     struct SwitchReq
     {
-        PortId inPort;
-        VcId inVc;
+        PortId inPort = kInvalidPort;  //!< kInvalidPort: no request.
+        VcId inVc = kInvalidVc;
+        PortId dist = 0;  //!< Round-robin distance of inPort.
     };
 
     /** Bind the pool slice at `index` and initialize its fields. */
@@ -379,6 +393,7 @@ class Router
 
     InputVc& ivc(PortId p, VcId v);
     const InputVc& ivc(PortId p, VcId v) const;
+    Flit& killFlit(PortId p, VcId v);
     OutputVc& ovc(PortId p, VcId v);
     const OutputVc& ovc(PortId p, VcId v) const;
 
@@ -394,10 +409,6 @@ class Router
     void processBkills();
     void forwardKills();
     void routeHeaders(Cycle now);
-    CRNET_ALLOW("alloc",
-                "byOut_ nomination-bucket reuse: amortized growth "
-                "only, bounded by ports*vcs and steady-state-free "
-                "(tests/test_alloc_steady.cc)")
     void allocateSwitch(Cycle now);
     void checkRouterTimeouts();
     void killWormAt(PortId p, VcId v);
@@ -424,6 +435,7 @@ class Router
     // Base pointers into this router's StatePool slice. [port][vc]
     // flattened, exactly like the historical per-router vectors.
     InputVc* inputs_ = nullptr;
+    Flit* killFlits_ = nullptr;  //!< Parallel to inputs_.
     OutputVc* outputs_ = nullptr;
     VcId* rrInVc_ = nullptr;     //!< Round-robin, per input port.
     PortId* rrOutIn_ = nullptr;  //!< Round-robin, per output port.
@@ -444,8 +456,11 @@ class Router
     /** Scratch candidate list (avoids per-header allocation). */
     mutable std::vector<Candidate> scratch_;
 
-    /** Per-output nomination buckets (reused across ticks). */
-    std::vector<std::vector<SwitchReq>> byOut_;
+    /**
+     * Best nomination per output port, sized once in attach(). Every
+     * entry is empty between ticks: allocateSwitch fills and drains it.
+     */
+    std::vector<SwitchReq> switchBest_;
 };
 
 } // namespace crnet

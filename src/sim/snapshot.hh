@@ -27,6 +27,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -504,6 +505,21 @@ checkedIndex(std::uint64_t index, std::uint64_t bound, const char* what)
         panic("snapshot ", what, " ", index, " out of range [0, ", bound,
               ") (version skew or serialization bug)");
     return static_cast<std::size_t>(index);
+}
+
+/**
+ * A port or VC index read from a payload: in [0, bound) whenever the
+ * state that uses it is `live`, otherwise also allowed to hold the
+ * never-assigned sentinel (the type's maximum).
+ */
+template <typename Index>
+void
+checkedIndexOrUnset(Index index, std::uint64_t bound, bool live,
+                    const char* what)
+{
+    if (!live && index == std::numeric_limits<Index>::max())
+        return;
+    checkedIndex(index, bound, what);
 }
 
 /** RNG stream: the four raw xoshiro256** words. */

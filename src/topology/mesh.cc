@@ -7,15 +7,13 @@ namespace crnet {
 MeshTopology::MeshTopology(std::uint32_t k, std::uint32_t n)
     : Topology(TopologyKind::Mesh, k, n)
 {
+    buildTables();
 }
 
 NodeId
-MeshTopology::neighbor(NodeId node, PortId port) const
+MeshTopology::linkTarget(Coordinates c, PortId port) const
 {
     const std::uint32_t d = portDim(port);
-    if (d >= n_)
-        panic("port ", port, " out of range for ", n_, " dimensions");
-    Coordinates c = coords(node);
     if (portDir(port) == Direction::Plus) {
         if (c[d] == k_ - 1)
             return kInvalidNode;
@@ -31,17 +29,17 @@ MeshTopology::neighbor(NodeId node, PortId port) const
 DimRoute
 MeshTopology::dimRoute(NodeId from, NodeId to, std::uint32_t dim) const
 {
-    const Coordinates a = coords(from);
-    const Coordinates b = coords(to);
+    const std::uint32_t a = coord(from, dim);
+    const std::uint32_t b = coord(to, dim);
     DimRoute r;
-    if (a[dim] == b[dim])
+    if (a == b)
         return r;
-    if (b[dim] > a[dim]) {
+    if (b > a) {
         r.plusMinimal = true;
-        r.plusHops = static_cast<std::uint32_t>(b[dim] - a[dim]);
+        r.plusHops = b - a;
     } else {
         r.minusMinimal = true;
-        r.minusHops = static_cast<std::uint32_t>(a[dim] - b[dim]);
+        r.minusHops = a - b;
     }
     return r;
 }

@@ -11,8 +11,10 @@
 #ifndef CRNET_TOPOLOGY_TOPOLOGY_HH
 #define CRNET_TOPOLOGY_TOPOLOGY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/sim/config.hh"
 #include "src/sim/types.hh"
@@ -66,6 +68,11 @@ struct DimRoute
 /**
  * A direct k-ary n-cube network graph. Immutable once constructed;
  * link fault state lives in the fault model / network, not here.
+ *
+ * Construction evaluates the coordinate and neighbor formulas once per
+ * node into two lookup tables (a 16-bit coordinate per dimension and a
+ * node id per network port: 20 bytes per node in 2-D), so the routing
+ * queries on the per-header path never divide by the radix.
  */
 class Topology
 {
@@ -82,11 +89,25 @@ class Topology
     Coordinates coords(NodeId id) const { return toCoordinates(id, k_, n_); }
     NodeId nodeId(const Coordinates& c) const { return toNodeId(c, k_); }
 
+    /** Coordinate of `node` in dimension `dim` (table lookup). */
+    std::uint32_t
+    coord(NodeId node, std::uint32_t dim) const
+    {
+        return coords_[static_cast<std::size_t>(node) * n_ + dim];
+    }
+
     /**
      * Neighbor of `node` through `port`, or kInvalidNode when the port
-     * leaves the network (mesh boundary).
+     * leaves the network (mesh boundary). A table lookup.
      */
-    virtual NodeId neighbor(NodeId node, PortId port) const = 0;
+    NodeId
+    neighbor(NodeId node, PortId port) const
+    {
+        if (port >= numPorts())
+            panic("port ", port, " out of range for ", n_, " dimensions");
+        return neighbors_[static_cast<std::size_t>(node) * numPorts() +
+                          port];
+    }
 
     /**
      * Minimal-path options in dimension `dim` when standing at `from`
@@ -110,12 +131,26 @@ class Topology
     virtual std::uint32_t diameter() const = 0;
 
   protected:
+    /** Validates the shape; the concrete class builds the tables. */
     Topology(TopologyKind kind, std::uint32_t k, std::uint32_t n);
+
+    /**
+     * The neighbor formula: the node `port` leads to from the node at
+     * `c`, or kInvalidNode. Only buildTables() calls it.
+     */
+    virtual NodeId linkTarget(Coordinates c, PortId port) const = 0;
+
+    /** Fill both lookup tables; each concrete constructor calls it. */
+    void buildTables();
 
     TopologyKind kind_;
     std::uint32_t k_;
     std::uint32_t n_;
     NodeId numNodes_;
+
+  private:
+    std::vector<std::uint16_t> coords_;  //!< [node][dim].
+    std::vector<NodeId> neighbors_;      //!< [node][port].
 };
 
 /** k-ary n-cube with wraparound links. */
@@ -124,11 +159,13 @@ class TorusTopology : public Topology
   public:
     TorusTopology(std::uint32_t k, std::uint32_t n);
 
-    NodeId neighbor(NodeId node, PortId port) const override;
     DimRoute dimRoute(NodeId from, NodeId to,
                       std::uint32_t dim) const override;
     bool crossesDateline(NodeId node, PortId port) const override;
     std::uint32_t diameter() const override;
+
+  protected:
+    NodeId linkTarget(Coordinates c, PortId port) const override;
 };
 
 /** k-ary n-dimensional mesh (no wraparound). */
@@ -137,11 +174,13 @@ class MeshTopology : public Topology
   public:
     MeshTopology(std::uint32_t k, std::uint32_t n);
 
-    NodeId neighbor(NodeId node, PortId port) const override;
     DimRoute dimRoute(NodeId from, NodeId to,
                       std::uint32_t dim) const override;
     bool crossesDateline(NodeId, PortId) const override { return false; }
     std::uint32_t diameter() const override;
+
+  protected:
+    NodeId linkTarget(Coordinates c, PortId port) const override;
 };
 
 /** Factory from configuration. */

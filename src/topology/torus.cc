@@ -19,6 +19,27 @@ Topology::Topology(TopologyKind kind, std::uint32_t k, std::uint32_t n)
     numNodes_ = static_cast<NodeId>(nodes);
 }
 
+void
+Topology::buildTables()
+{
+    const PortId ports = numPorts();
+    coords_.resize(static_cast<std::size_t>(numNodes_) * n_);
+    neighbors_.resize(static_cast<std::size_t>(numNodes_) * ports);
+    // Walk the nodes in id order with an odometer over the
+    // coordinates (dimension 0 fastest), so building divides nothing.
+    Coordinates c;
+    c.n = static_cast<std::uint8_t>(n_);
+    for (NodeId id = 0; id < numNodes_; ++id) {
+        for (std::uint32_t d = 0; d < n_; ++d)
+            coords_[static_cast<std::size_t>(id) * n_ + d] = c[d];
+        for (PortId p = 0; p < ports; ++p)
+            neighbors_[static_cast<std::size_t>(id) * ports + p] =
+                linkTarget(c, p);
+        for (std::uint32_t d = 0; d < n_ && ++c[d] == k_; ++d)
+            c[d] = 0;
+    }
+}
+
 std::uint32_t
 Topology::distance(NodeId from, NodeId to) const
 {
@@ -36,31 +57,29 @@ Topology::distance(NodeId from, NodeId to) const
 TorusTopology::TorusTopology(std::uint32_t k, std::uint32_t n)
     : Topology(TopologyKind::Torus, k, n)
 {
+    buildTables();
 }
 
 NodeId
-TorusTopology::neighbor(NodeId node, PortId port) const
+TorusTopology::linkTarget(Coordinates c, PortId port) const
 {
     const std::uint32_t d = portDim(port);
-    if (d >= n_)
-        panic("port ", port, " out of range for ", n_, " dimensions");
-    Coordinates c = coords(node);
     if (portDir(port) == Direction::Plus)
-        c[d] = static_cast<std::uint16_t>((c[d] + 1) % k_);
+        c[d] = static_cast<std::uint16_t>(c[d] + 1u == k_ ? 0 : c[d] + 1);
     else
-        c[d] = static_cast<std::uint16_t>((c[d] + k_ - 1) % k_);
+        c[d] = static_cast<std::uint16_t>(c[d] == 0 ? k_ - 1 : c[d] - 1);
     return nodeId(c);
 }
 
 DimRoute
 TorusTopology::dimRoute(NodeId from, NodeId to, std::uint32_t dim) const
 {
-    const Coordinates a = coords(from);
-    const Coordinates b = coords(to);
+    const std::uint32_t a = coord(from, dim);
+    const std::uint32_t b = coord(to, dim);
     DimRoute r;
-    if (a[dim] == b[dim])
+    if (a == b)
         return r;
-    const std::uint32_t plus = (b[dim] + k_ - a[dim]) % k_;
+    const std::uint32_t plus = b > a ? b - a : b + k_ - a;
     const std::uint32_t minus = k_ - plus;
     r.plusHops = plus;
     r.minusHops = minus;
@@ -72,11 +91,10 @@ TorusTopology::dimRoute(NodeId from, NodeId to, std::uint32_t dim) const
 bool
 TorusTopology::crossesDateline(NodeId node, PortId port) const
 {
-    const std::uint32_t d = portDim(port);
-    const Coordinates c = coords(node);
+    const std::uint32_t c = coord(node, portDim(port));
     if (portDir(port) == Direction::Plus)
-        return c[d] == k_ - 1;
-    return c[d] == 0;
+        return c == k_ - 1;
+    return c == 0;
 }
 
 std::uint32_t

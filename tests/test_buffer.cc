@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <vector>
+
 #include "src/router/buffer.hh"
 
 namespace crnet {
@@ -92,6 +95,66 @@ TEST(FlitBuffer, FrontMutableEditsInPlace)
 TEST(FlitBuffer, ZeroCapacityPanics)
 {
     EXPECT_DEATH(FlitBuffer(0), "capacity");
+}
+
+/** Checks a buffer against a reference FIFO of sequence numbers. */
+void
+expectSameQueue(const FlitBuffer& b, const std::deque<std::uint32_t>& ref)
+{
+    ASSERT_EQ(b.size(), ref.size());
+    EXPECT_EQ(b.empty(), ref.empty());
+    EXPECT_EQ(b.full(), ref.size() == b.capacity());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(b.peek(i).seq, ref[i]) << "peek(" << i << ")";
+    if (!ref.empty()) {
+        EXPECT_EQ(b.front().seq, ref.front());
+    }
+}
+
+/**
+ * Drives `b` through fills, partial drains and purges so head and
+ * tail cross the end of the ring at every offset.
+ */
+void
+exerciseWrap(FlitBuffer& b)
+{
+    const std::size_t depth = b.capacity();
+    std::deque<std::uint32_t> ref;
+    std::uint32_t next = 0;
+    for (std::uint32_t round = 0; round < 4 * depth + 3; ++round) {
+        // Push up to (round % depth) + 1 flits, then pop all but
+        // (round % 2) of them: the head advances by a varying step.
+        const std::size_t pushes = round % depth + 1;
+        for (std::size_t i = 0; i < pushes && !b.full(); ++i) {
+            b.push(flitWithSeq(next));
+            ref.push_back(next++);
+            expectSameQueue(b, ref);
+        }
+        while (ref.size() > round % 2) {
+            EXPECT_EQ(b.pop().seq, ref.front());
+            ref.pop_front();
+            expectSameQueue(b, ref);
+        }
+        if (round % 5 == 4) {
+            EXPECT_EQ(b.purge(), ref.size());
+            ref.clear();
+            expectSameQueue(b, ref);
+        }
+    }
+}
+
+TEST(FlitBuffer, WrapMatchesReferenceFifoAtDepthsOneToFive)
+{
+    for (std::size_t depth = 1; depth <= 5; ++depth) {
+        SCOPED_TRACE(depth);
+        FlitBuffer owned(depth);
+        exerciseWrap(owned);
+
+        std::vector<Flit> slots(depth);
+        FlitBuffer bound;
+        bound.bind(slots.data(), depth);
+        exerciseWrap(bound);
+    }
 }
 
 } // namespace

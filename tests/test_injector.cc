@@ -8,6 +8,7 @@
 
 #include "src/nic/injector.hh"
 #include "src/nic/padding.hh"
+#include "src/sim/snapshot.hh"
 
 namespace crnet {
 namespace {
@@ -27,6 +28,9 @@ class InjectorTest : public ::testing::Test
         stats = std::make_unique<NetworkStats>();
         inj = std::make_unique<Injector>(0, cfg, *topo, *algo,
                                          stats.get(), Rng(2));
+        refStats = std::make_unique<NetworkStats>();
+        ref = std::make_unique<Injector>(0, cfg, *topo, *algo,
+                                         refStats.get(), Rng(2));
     }
 
     PendingMessage
@@ -51,6 +55,56 @@ class InjectorTest : public ::testing::Test
         return inj->sent;
     }
 
+    /**
+     * Tick `inj` and, from the same state, a reference injector that
+     * restores a snapshot of `inj` before every tick. The admission
+     * memo is derived state a restore resets, so the reference scans
+     * its queue in full every cycle; both must emit the same flits.
+     */
+    std::vector<InjectedFlit>
+    stepVsMemoFree()
+    {
+        StateWriter w;
+        inj->serialize(w);
+        StateReader r(w.bytes());
+        ref->serialize(r);
+        inj->tick(now);
+        ref->tick(now);
+        ++now;
+        EXPECT_EQ(inj->sent.size(), ref->sent.size()) << "cycle " << now - 1;
+        for (std::size_t i = 0;
+             i < std::min(inj->sent.size(), ref->sent.size()); ++i) {
+            const InjectedFlit& a = inj->sent[i];
+            const InjectedFlit& b = ref->sent[i];
+            EXPECT_EQ(a.injChannel, b.injChannel);
+            EXPECT_EQ(a.vc, b.vc);
+            EXPECT_EQ(a.flit.msg, b.flit.msg) << "cycle " << now - 1;
+            EXPECT_EQ(a.flit.seq, b.flit.seq);
+            EXPECT_EQ(a.flit.type, b.flit.type);
+        }
+        return inj->sent;
+    }
+
+    /** True when an injection slot is transmitting message `id`. */
+    bool
+    started(MsgId id) const
+    {
+        for (std::uint32_t ch = 0; ch < cfg.injectionChannels; ++ch)
+            for (VcId vc = 0; vc < cfg.numVcs; ++vc)
+                if (inj->slotProbe(ch, vc).msg == id)
+                    return true;
+        return false;
+    }
+
+    /** Return the credits of flits headed for `dst` (instant drain). */
+    void
+    drainTo(const std::vector<InjectedFlit>& sent, NodeId dst)
+    {
+        for (const InjectedFlit& f : sent)
+            if (f.flit.dst == dst && !f.flit.isKill())
+                inj->acceptCredit(f.injChannel, f.vc);
+    }
+
     SimConfig cfg;  // Defaults: torus 16x16 ignored; injector only
                     // uses vcs/depth/channels/protocol/timeout.
     std::unique_ptr<TorusTopology> topo;
@@ -58,6 +112,8 @@ class InjectorTest : public ::testing::Test
     std::unique_ptr<MinimalAdaptiveRouting> algo;
     std::unique_ptr<NetworkStats> stats;
     std::unique_ptr<Injector> inj;
+    std::unique_ptr<NetworkStats> refStats;
+    std::unique_ptr<Injector> ref;
     Cycle now = 0;
     MsgId nextId = 100;
 };
@@ -349,6 +405,222 @@ TEST_F(InjectorTest, FcrPadsAfterPayload)
     // Everything between payload and tail is PAD.
     for (std::uint32_t i = 4; i + 1 < wire; ++i)
         EXPECT_EQ(flits[i].type, FlitType::Pad);
+}
+
+TEST_F(InjectorTest, AdmissionMemoStartsRetryWhenBackoffExpires)
+{
+    cfg.numVcs = 2;
+    cfg.timeout = 4;
+    cfg.backoff = BackoffScheme::Static;
+    cfg.backoffGap = 20;
+    rebuild();
+    // A long worm to 5 keeps destination 5 busy; the worm to 6 gets no
+    // credits, is killed and waits out its backoff at the queue front,
+    // ahead of a due message to 5 that only the busy set blocks. The
+    // scans in between fail and are memoized until the backoff expiry.
+    const PendingMessage longer = msgTo(5, 100);
+    const PendingMessage victim = msgTo(6, 4);
+    inj->enqueue(longer);
+    inj->enqueue(victim);
+    inj->enqueue(msgTo(5, 4, 1));
+    Cycle killed_at = kNeverCycle;
+    Cycle restarted_at = kNeverCycle;
+    for (int i = 0; i < 80 && restarted_at == kNeverCycle; ++i) {
+        const Cycle at = now;
+        const auto sent = stepVsMemoFree();
+        for (const InjectedFlit& f : sent) {
+            if (f.flit.isKill() && f.flit.msg == victim.id)
+                killed_at = at;
+            if (f.flit.isHead() && f.flit.msg == victim.id &&
+                f.flit.attempt == 1)
+                restarted_at = at;
+        }
+        drainTo(sent, 5);
+    }
+    ASSERT_NE(killed_at, kNeverCycle);
+    EXPECT_EQ(restarted_at, killed_at + cfg.backoffGap);
+    EXPECT_TRUE(started(longer.id));
+}
+
+TEST_F(InjectorTest, AdmissionMemoStartsWaiterWhenCommitFreesDest)
+{
+    cfg.numVcs = 2;
+    rebuild();
+    // The second message to 5 waits on a free slot for the first to
+    // commit; the commit releases the destination and resets the memo.
+    const PendingMessage first = msgTo(5, 4, 0);
+    const PendingMessage second = msgTo(5, 4, 1);
+    inj->enqueue(first);
+    inj->enqueue(second);
+    Cycle committed_at = kNeverCycle;
+    Cycle second_at = kNeverCycle;
+    for (int i = 0; i < 60 && second_at == kNeverCycle; ++i) {
+        const Cycle at = now;
+        const auto sent = stepVsMemoFree();
+        for (const InjectedFlit& f : sent)
+            if (f.flit.isTail() && f.flit.msg == first.id)
+                committed_at = at;
+        if (started(second.id))
+            second_at = at;
+        drainTo(sent, 5);
+    }
+    ASSERT_NE(committed_at, kNeverCycle);
+    EXPECT_EQ(second_at, committed_at + 1);
+}
+
+TEST_F(InjectorTest, AdmissionMemoSeesEnqueueAfterFullWindowScan)
+{
+    cfg.numVcs = 2;
+    rebuild();
+    // Sixteen due messages to busy destination 5 fill the scan window,
+    // so the free slot's scan fails; a message to 7 enqueued after
+    // that lands outside the window and must wait, like a full scan,
+    // until the worm to 5 commits and the window moves up to it.
+    const PendingMessage longer = msgTo(5, 40);
+    inj->enqueue(longer);
+    for (std::uint32_t i = 1; i <= 16; ++i)
+        inj->enqueue(msgTo(5, 4, i));
+    for (int i = 0; i < 5; ++i)
+        drainTo(stepVsMemoFree(), 5);
+    const PendingMessage late = msgTo(7, 4);
+    inj->enqueue(late);
+    Cycle committed_at = kNeverCycle;
+    Cycle late_at = kNeverCycle;
+    for (int i = 0; i < 200 && late_at == kNeverCycle; ++i) {
+        const Cycle at = now;
+        const auto sent = stepVsMemoFree();
+        for (const InjectedFlit& f : sent)
+            if (f.flit.isTail() && f.flit.msg == longer.id)
+                committed_at = at;
+        if (started(late.id))
+            late_at = at;
+        drainTo(sent, 5);
+        drainTo(sent, 7);
+    }
+    ASSERT_NE(committed_at, kNeverCycle);
+    EXPECT_EQ(late_at, committed_at + 1);
+}
+
+TEST_F(InjectorTest, AdmissionMemoSeesEnqueueInsideWindow)
+{
+    cfg.numVcs = 2;
+    rebuild();
+    // Fifteen blocked messages leave one place in the scan window: a
+    // message enqueued behind them after failed scans starts at the
+    // next tick.
+    inj->enqueue(msgTo(5, 40));
+    for (std::uint32_t i = 1; i <= 15; ++i)
+        inj->enqueue(msgTo(5, 4, i));
+    for (int i = 0; i < 5; ++i)
+        drainTo(stepVsMemoFree(), 5);
+    const PendingMessage late = msgTo(7, 4);
+    inj->enqueue(late);
+    EXPECT_FALSE(started(late.id));
+    drainTo(stepVsMemoFree(), 5);
+    EXPECT_TRUE(started(late.id));
+}
+
+TEST_F(InjectorTest, AdmissionMemoSeesRetryDueInItsRequeueTick)
+{
+    cfg.numVcs = 2;
+    cfg.enforceDestOrder = false;
+    cfg.timeout = 30;
+    cfg.backoff = BackoffScheme::Static;
+    cfg.backoffGap = 0;
+    rebuild();
+    // Two worms to 5; only the short one gets credits and commits.
+    // Then sixteen deferred messages fill the scan window ahead of a
+    // due one, so the free slot's scan fails. When the stalled worm is
+    // killed its zero-gap retry is due in the same tick: the requeue
+    // itself must void the memo, since no busy destination changes.
+    const PendingMessage quick = msgTo(5, 4);
+    const PendingMessage stuck = msgTo(5, 30);
+    inj->enqueue(quick);
+    inj->enqueue(stuck);
+    bool deferred = false;
+    Cycle killed_at = kNeverCycle;
+    Cycle restarted_at = kNeverCycle;
+    for (int i = 0; i < 80 && restarted_at == kNeverCycle; ++i) {
+        const Cycle at = now;
+        const auto sent = stepVsMemoFree();
+        for (const InjectedFlit& f : sent) {
+            if (f.flit.msg == quick.id)
+                inj->acceptCredit(f.injChannel, f.vc);
+            if (f.flit.isKill() && f.flit.msg == stuck.id)
+                killed_at = at;
+        }
+        if (killed_at != kNeverCycle && started(stuck.id))
+            restarted_at = at;
+        if (!deferred && stats->messagesCommitted.value() == 1) {
+            deferred = true;
+            for (std::uint32_t k = 0; k < 16; ++k) {
+                PendingMessage m = msgTo(6, 4, k);
+                m.notBefore = now + 200;
+                inj->enqueue(m);
+            }
+            inj->enqueue(msgTo(7, 4));
+        }
+    }
+    ASSERT_TRUE(deferred);
+    ASSERT_NE(killed_at, kNeverCycle);
+    EXPECT_EQ(restarted_at, killed_at);
+}
+
+TEST_F(InjectorTest, AdmissionMemoMatchesFullScanUnderRandomTraffic)
+{
+    // Random enqueues (some deferred), partial credit returns, aborts
+    // and kills across order/backoff settings, including zero-gap
+    // retries that are due in the tick that requeues them.
+    struct Variant
+    {
+        bool destOrder;
+        BackoffScheme backoff;
+        Cycle gap;
+        std::uint32_t channels;
+    };
+    const Variant variants[] = {
+        {true, BackoffScheme::Static, 0, 1},
+        {true, BackoffScheme::Exponential, 2, 2},
+        {false, BackoffScheme::Static, 0, 1},
+        {false, BackoffScheme::Static, 3, 2},
+    };
+    for (const Variant& v : variants) {
+        SCOPED_TRACE(::testing::Message()
+                     << "order " << v.destOrder << " gap " << v.gap);
+        cfg.numVcs = 2;
+        cfg.timeout = 6;
+        cfg.enforceDestOrder = v.destOrder;
+        cfg.backoff = v.backoff;
+        cfg.backoffGap = v.gap;
+        cfg.injectionChannels = v.channels;
+        rebuild();
+        now = 0;
+        Rng draw(11);
+        for (int i = 0; i < 600; ++i) {
+            if (draw.below(3) == 0) {
+                PendingMessage m = msgTo(
+                    static_cast<NodeId>(1 + draw.below(3)),
+                    static_cast<std::uint32_t>(2 + draw.below(6)));
+                if (draw.below(4) == 0)
+                    m.notBefore = now + draw.below(20);
+                inj->enqueue(m);
+            }
+            const auto sent = stepVsMemoFree();
+            for (const InjectedFlit& f : sent)
+                if (!f.flit.isKill() && draw.below(10) < 7)
+                    inj->acceptCredit(f.injChannel, f.vc);
+            if (draw.below(40) == 0) {
+                const auto ch =
+                    static_cast<std::uint32_t>(draw.below(v.channels));
+                const auto vc = static_cast<VcId>(draw.below(2));
+                const Injector::SlotProbe p = inj->slotProbe(ch, vc);
+                if (p.active)
+                    inj->acceptAbort(ch, vc, p.msg);
+            }
+        }
+        EXPECT_GT(stats->sourceKills.value(), 0u);
+        EXPECT_GT(stats->messagesCommitted.value(), 0u);
+    }
 }
 
 } // namespace

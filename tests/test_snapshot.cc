@@ -20,6 +20,8 @@
 #include "src/core/network.hh"
 #include "src/fault/campaign.hh"
 #include "src/fault/fault_schedule.hh"
+#include "src/nic/injector.hh"
+#include "src/router/router.hh"
 #include "src/sim/checksum.hh"
 #include "src/sim/config.hh"
 #include "src/sim/snapshot.hh"
@@ -546,6 +548,120 @@ TEST(SnapshotPayloadDeath, TrailingBytesPanic)
     snap.payload.push_back(0);
     Network net(snapConfig(SchedulerKind::Active));
     EXPECT_DEATH(restoreSnapshot(net, snap), "1 trailing bytes");
+}
+
+/** Overwrite the little-endian u16 at `at` in a payload. */
+void
+pokeU16(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint16_t v)
+{
+    bytes.at(at) = static_cast<std::uint8_t>(v);
+    bytes.at(at + 1) = static_cast<std::uint8_t>(v >> 8);
+}
+
+TEST(SnapshotPayloadDeath, OutOfRangePortOrVcInRouterState)
+{
+    // The switch allocator indexes its arrays by these values directly
+    // (round-robin pointers wrap by compare-and-subtract, not `%`), so
+    // a restore refuses any that is out of range.
+    const SimConfig cfg = snapConfig(SchedulerKind::Active);
+    auto topo = makeTopology(cfg);
+    FaultModel faults(*topo, 0.0, Rng(1));
+    auto algo = makeRouting(cfg, *topo, faults);
+    RouterStats stats;
+    Router router(0, cfg, *algo, &stats, Rng(2));
+    StateWriter fresh;
+    router.serialize(fresh);
+    // 5 input and 5 output ports of 2 VCs. The payload ends with the
+    // round-robin pointers (2 x 5 u16), the heat flag, the RNG words
+    // and the cycle (41 bytes); before them the pending-bkill count
+    // and the 10 output-VC records of 18 bytes each.
+    const std::size_t tail = 41;
+    const std::size_t rr_out = fresh.bytes().size() - tail - 10;
+    const std::size_t rr_in = rr_out - 10;
+    const std::size_t outputs = rr_in - 8 - 10 * 18;
+    {
+        std::vector<std::uint8_t> bytes = fresh.bytes();
+        pokeU16(bytes, rr_in + 2, 2);
+        StateReader r(bytes);
+        EXPECT_DEATH(router.serialize(r),
+                     "input round-robin VC 2 out of range");
+    }
+    {
+        std::vector<std::uint8_t> bytes = fresh.bytes();
+        pokeU16(bytes, rr_out, 5);
+        StateReader r(bytes);
+        EXPECT_DEATH(router.serialize(r),
+                     "output round-robin input port 5 out of range");
+    }
+    {
+        // An allocated output VC whose holder is not an input port.
+        std::vector<std::uint8_t> bytes = fresh.bytes();
+        bytes.at(outputs) = 1;
+        StateReader r(bytes);
+        EXPECT_DEATH(router.serialize(r),
+                     "output-VC holder port 65535 out of range");
+    }
+}
+
+TEST(SnapshotPayloadDeath, BadBusyDestinationsOrRoundRobinInInjector)
+{
+    const SimConfig cfg = snapConfig(SchedulerKind::Active);
+    auto topo = makeTopology(cfg);
+    FaultModel faults(*topo, 0.0, Rng(1));
+    auto algo = makeRouting(cfg, *topo, faults);
+    NetworkStats stats;
+    Injector inj(0, cfg, *topo, *algo, &stats, Rng(2));
+    StateWriter fresh;
+    inj.serialize(fresh);
+    // A fresh injector's payload ends with the busy-destination count
+    // (empty), one round-robin VC and the RNG words (42 bytes).
+    auto withTail = [&](const std::vector<NodeId>& busy, VcId rr) {
+        std::vector<std::uint8_t> bytes(fresh.bytes().begin(),
+                                        fresh.bytes().end() - 42);
+        StateWriter tail;
+        tail.u64(busy.size());
+        for (NodeId d : busy)
+            tail.u32(d);
+        tail.u16(rr);
+        for (std::uint64_t word = 1; word <= 4; ++word)
+            tail.u64(word);
+        bytes.insert(bytes.end(), tail.bytes().begin(),
+                     tail.bytes().end());
+        return bytes;
+    };
+    {
+        const auto bytes = withTail({9, 3}, 0);
+        StateReader r(bytes);
+        EXPECT_DEATH(inj.serialize(r), "not strictly ascending");
+    }
+    {
+        const auto bytes = withTail({3, 3}, 0);
+        StateReader r(bytes);
+        EXPECT_DEATH(inj.serialize(r), "not strictly ascending");
+    }
+    {
+        const auto bytes = withTail({16}, 0);
+        StateReader r(bytes);
+        EXPECT_DEATH(inj.serialize(r), "busy destination 16 out of range");
+    }
+    {
+        const auto bytes = withTail({1, 2, 3}, 0);
+        StateReader r(bytes);
+        EXPECT_DEATH(inj.serialize(r), "3 busy destinations for 2");
+    }
+    {
+        const auto bytes = withTail({}, 2);
+        StateReader r(bytes);
+        EXPECT_DEATH(inj.serialize(r),
+                     "injector round-robin VC 2 out of range");
+    }
+    {
+        // The well-formed tail restores.
+        const auto bytes = withTail({3, 9}, 1);
+        StateReader r(bytes);
+        inj.serialize(r);
+        EXPECT_EQ(r.remaining(), 0u);
+    }
 }
 
 // --- Campaign journal ---------------------------------------------------

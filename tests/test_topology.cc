@@ -173,5 +173,80 @@ TEST(Topology, TinyRadixRejected)
     EXPECT_DEATH(TorusTopology(1, 2), "radix");
 }
 
+/**
+ * The lookup tables against the coordinate formulas, evaluated here
+ * independently: every node, port and destination of 1-3-D tori and
+ * meshes with k = 2..8.
+ */
+void
+expectTablesMatchFormulas(const Topology& t, bool wrap)
+{
+    const std::uint32_t k = t.radix();
+    const std::uint32_t n = t.dims();
+    for (NodeId id = 0; id < t.numNodes(); ++id) {
+        const Coordinates c = toCoordinates(id, k, n);
+        for (std::uint32_t d = 0; d < n; ++d)
+            ASSERT_EQ(t.coord(id, d), c[d]) << id << " dim " << d;
+        for (PortId p = 0; p < t.numPorts(); ++p) {
+            const std::uint32_t d = portDim(p);
+            Coordinates nc = c;
+            NodeId want = kInvalidNode;
+            if (portDir(p) == Direction::Plus) {
+                if (wrap || c[d] + 1u < k) {
+                    nc[d] = static_cast<std::uint16_t>((c[d] + 1) % k);
+                    want = toNodeId(nc, k);
+                }
+            } else if (wrap || c[d] > 0) {
+                nc[d] = static_cast<std::uint16_t>((c[d] + k - 1) % k);
+                want = toNodeId(nc, k);
+            }
+            ASSERT_EQ(t.neighbor(id, p), want) << id << " port " << p;
+            const bool dateline = wrap &&
+                (portDir(p) == Direction::Plus ? c[d] == k - 1
+                                               : c[d] == 0);
+            ASSERT_EQ(t.crossesDateline(id, p), dateline);
+        }
+        for (NodeId to = 0; to < t.numNodes(); to += 3) {
+            const Coordinates b = toCoordinates(to, k, n);
+            for (std::uint32_t d = 0; d < n; ++d) {
+                const DimRoute r = t.dimRoute(id, to, d);
+                if (c[d] == b[d]) {
+                    ASSERT_TRUE(r.done());
+                    continue;
+                }
+                if (wrap) {
+                    const std::uint32_t plus = (b[d] + k - c[d]) % k;
+                    ASSERT_EQ(r.plusHops, plus);
+                    ASSERT_EQ(r.minusHops, k - plus);
+                    ASSERT_EQ(r.plusMinimal, plus <= k - plus);
+                    ASSERT_EQ(r.minusMinimal, k - plus <= plus);
+                } else {
+                    ASSERT_EQ(r.plusMinimal, b[d] > c[d]);
+                    ASSERT_EQ(r.minusMinimal, b[d] < c[d]);
+                    ASSERT_EQ(r.plusHops + r.minusHops,
+                              b[d] > c[d] ? b[d] - c[d] : c[d] - b[d]);
+                }
+            }
+        }
+    }
+}
+
+TEST(Topology, LookupTablesMatchCoordinateFormulas)
+{
+    for (std::uint32_t n = 1; n <= 3; ++n) {
+        for (std::uint32_t k = 2; k <= 8; ++k) {
+            SCOPED_TRACE(::testing::Message() << k << "-ary " << n);
+            expectTablesMatchFormulas(TorusTopology(k, n), true);
+            expectTablesMatchFormulas(MeshTopology(k, n), false);
+        }
+    }
+}
+
+TEST(Topology, NeighborRejectsNonNetworkPort)
+{
+    const TorusTopology t(4, 2);
+    EXPECT_DEATH(t.neighbor(0, 4), "out of range");
+}
+
 } // namespace
 } // namespace crnet
