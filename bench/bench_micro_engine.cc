@@ -92,7 +92,8 @@ BM_InjectorNextEventCycle(benchmark::State& state)
     FaultModel faults(topo, 0.0, Rng(1));
     MinimalAdaptiveRouting algo(topo, faults, cfg.numVcs);
     NetworkStats stats;
-    Injector inj(0, cfg, topo, algo, &stats, Rng(2));
+    Injector::StatePool pool(cfg, 1);
+    Injector inj(0, cfg, topo, algo, &stats, Rng(2), pool, 0);
     for (std::uint32_t i = 0; i < depth; ++i) {
         PendingMessage m;
         m.id = i + 1;
@@ -118,7 +119,8 @@ BM_RouterTickBusy(benchmark::State& state)
     FaultModel faults(topo, 0.0, Rng(1));
     MinimalAdaptiveRouting algo(topo, faults, cfg.numVcs);
     RouterStats stats;
-    Router router(9, cfg, algo, &stats, Rng(2));
+    Router::StatePool pool(cfg, 1);
+    Router router(9, cfg, algo, &stats, Rng(2), pool, 0);
     Cycle now = 0;
     MsgId msg = 0;
     for (auto _ : state) {

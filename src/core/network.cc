@@ -124,6 +124,8 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
     }
 
     routerPool_ = std::make_unique<Router::StatePool>(cfg_, n);
+    injectorPool_ = std::make_unique<Injector::StatePool>(cfg_, n);
+    receiverPool_ = std::make_unique<Receiver::StatePool>(cfg_, n);
     routers_.reserve(n);
     injectors_.reserve(n);
     receivers_.reserve(n);
@@ -136,13 +138,11 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
         // stats_.
         NetworkStats* blk =
             shards_ > 1 ? shardStats_[shard].get() : &stats_;
-        routers_.push_back(std::make_unique<Router>(
-            id, cfg_, *routing_, &blk->router, root.fork(),
-            *routerPool_, id));
-        injectors_.push_back(std::make_unique<Injector>(
-            id, cfg_, *topo_, *routing_, blk, root.fork()));
-        receivers_.push_back(
-            std::make_unique<Receiver>(id, cfg_, blk));
+        routers_.emplace_back(id, cfg_, *routing_, &blk->router,
+                              root.fork(), *routerPool_, id);
+        injectors_.emplace_back(id, cfg_, *topo_, *routing_, blk,
+                                root.fork(), *injectorPool_, id);
+        receivers_.emplace_back(id, cfg_, blk, *receiverPool_, id);
     }
 
     // Pre-size the hot-path containers so the steady state never
@@ -204,15 +204,15 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
         schedule_ = std::make_unique<FaultSchedule>(
             FaultSchedule::fromConfig(cfg_, *topo_, root.fork()));
         for (NodeId id = 0; id < n; ++id)
-            receivers_[id]->setDynamicFaults(true);
+            receivers_[id].setDynamicFaults(true);
     }
 
 #if CRNET_AUDIT_ENABLED
     audit_ = std::make_unique<Auditor>(cfg_, *topo_);
     for (NodeId id = 0; id < n; ++id) {
-        routers_[id]->setAuditor(audit_.get());
-        injectors_[id]->setAuditor(audit_.get());
-        receivers_[id]->setAuditor(audit_.get());
+        routers_[id].setAuditor(audit_.get());
+        injectors_[id].setAuditor(audit_.get());
+        receivers_[id].setAuditor(audit_.get());
     }
 #endif
 
@@ -223,9 +223,9 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
         trace_ =
             std::make_unique<Tracer>(trace_prefix, cfg_.watchSpec);
         for (NodeId id = 0; id < n; ++id) {
-            routers_[id]->setTracer(trace_.get());
-            injectors_[id]->setTracer(trace_.get());
-            receivers_[id]->setTracer(trace_.get());
+            routers_[id].setTracer(trace_.get());
+            injectors_[id].setTracer(trace_.get());
+            receivers_[id].setTracer(trace_.get());
         }
         for (ShardCtx& ctx : shardCtx_) {
             ctx.injTrace.reserve(64);
@@ -237,7 +237,7 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
         timeseries_ = std::make_unique<TimeSeries>(cfg_.sampleInterval);
     if (cfg_.heatmapEnabled) {
         for (NodeId id = 0; id < n; ++id)
-            routers_[id]->setHeatTracking(true);
+            routers_[id].setHeatTracking(true);
     }
 }
 
@@ -303,7 +303,7 @@ Network::popDueDeadlines()
 void
 Network::deliver()
 {
-    const PortId net_ports = routers_[0]->networkPorts();
+    const PortId net_ports = routers_[0].networkPorts();
     Wave& cur = buckets_[now_ & bucketMask_];
     for (PendingFlit& p : cur.flits) {
         if (dynamicFaults_ && p.networkHop) {
@@ -331,11 +331,11 @@ Network::deliver()
         }
         if (p.networkHop && p.flit.isData())
             faults_->maybeCorrupt(p.flit);
-        routers_[p.node]->acceptFlit(p.inPort, p.vc, p.flit);
+        routers_[p.node].acceptFlit(p.inPort, p.vc, p.flit);
         wakeRouter(p.node);
     }
     for (const PendingRecvFlit& p : cur.recvFlits) {
-        receivers_[p.node]->acceptFlit(p.ejChannel, p.vc, p.flit);
+        receivers_[p.node].acceptFlit(p.ejChannel, p.vc, p.flit);
         wakeReceiver(p.node);
     }
     for (const PendingCredit& p : cur.credits) {
@@ -344,11 +344,11 @@ Network::deliver()
             stats_.controlAbsorbedAtDeadLinks.inc();
             continue;
         }
-        routers_[p.node]->acceptCredit(p.outPort, p.vc);
+        routers_[p.node].acceptCredit(p.outPort, p.vc);
         wakeRouter(p.node);
     }
     for (const PendingInjCredit& p : cur.injCredits) {
-        injectors_[p.node]->acceptCredit(p.injChannel, p.vc);
+        injectors_[p.node].acceptCredit(p.injChannel, p.vc);
         wakeInjector(p.node);
     }
     for (const PendingBkill& p : cur.bkills) {
@@ -357,11 +357,11 @@ Network::deliver()
             stats_.controlAbsorbedAtDeadLinks.inc();
             continue;
         }
-        routers_[p.node]->acceptBkill(p.outPort, p.vc);
+        routers_[p.node].acceptBkill(p.outPort, p.vc);
         wakeRouter(p.node);
     }
     for (const PendingAbort& p : cur.aborts) {
-        injectors_[p.node]->acceptAbort(p.injChannel, p.vc, p.msg);
+        injectors_[p.node].acceptAbort(p.injChannel, p.vc, p.msg);
         wakeInjector(p.node);
     }
     cur.clear();
@@ -370,11 +370,11 @@ Network::deliver()
 void
 Network::teardownDirectedLink(NodeId u, PortId p)
 {
-    routers_[u]->onOutputLinkDead(p, now_);
+    routers_[u].onOutputLinkDead(p, now_);
     wakeRouter(u);
     const NodeId d = topo_->neighbor(u, p);
     if (d != kInvalidNode) {
-        routers_[d]->onInputLinkDead(oppositePort(p), now_);
+        routers_[d].onInputLinkDead(oppositePort(p), now_);
         wakeRouter(d);
     }
 }
@@ -383,7 +383,7 @@ void
 Network::repairDirectedLink(NodeId u, PortId p)
 {
     faults_->reviveDirectedLink(u, p);
-    routers_[u]->onOutputLinkRepaired(p, now_);
+    routers_[u].onOutputLinkRepaired(p, now_);
     wakeRouter(u);
 }
 
@@ -417,7 +417,7 @@ Network::applyOneFaultEvent(const FaultEvent& ev)
         break;
     }
     case FaultEventKind::RouterFailStop: {
-        const PortId net_ports = routers_[ev.node]->networkPorts();
+        const PortId net_ports = routers_[ev.node].networkPorts();
         for (PortId p = 0; p < net_ports; ++p) {
             const NodeId nbr = topo_->neighbor(ev.node, p);
             if (nbr == kInvalidNode)
@@ -467,8 +467,8 @@ Network::injectFaultEvent(const FaultEvent& ev)
     if (!dynamicFaults_) {
         dynamicFaults_ = true;
         schedule_ = std::make_unique<FaultSchedule>();
-        for (auto& rcv : receivers_)
-            rcv->setDynamicFaults(true);
+        for (Receiver& rcv : receivers_)
+            rcv.setDynamicFaults(true);
     }
     applyOneFaultEvent(ev);
 }
@@ -486,7 +486,7 @@ Network::generate()
     // tight loop over the generator stream.
     for (NodeId src = generator_->scanArrivals(0); src < n;
          src = generator_->scanArrivals(src + 1)) {
-        if (injectors_[src]->queueFull()) {
+        if (injectors_[src].queueFull()) {
             // Offered but not accepted; the pair sequence number is
             // not allocated, so receivers never see a phantom gap.
             stats_.sourceQueueDrops.inc();
@@ -494,7 +494,7 @@ Network::generate()
         }
         const PendingMessage msg =
             generator_->makeFor(src, now_, measuring_);
-        injectors_[src]->enqueue(msg);
+        injectors_[src].enqueue(msg);
         wakeInjector(src);
         stats_.messagesGenerated.inc();
         if (ledger_ != nullptr)
@@ -509,11 +509,11 @@ Network::generate()
 void
 Network::collectInjector(NodeId n)
 {
-    Injector& inj = *injectors_[n];
+    Injector& inj = injectors_[n];
     for (const InjectedFlit& f : inj.sent) {
         waveIn(1).flits.push_back(PendingFlit{
             n,
-            static_cast<PortId>(routers_[n]->injBase() + f.injChannel),
+            static_cast<PortId>(routers_[n].injBase() + f.injChannel),
             f.vc, f.flit, false});
     }
 }
@@ -521,7 +521,7 @@ Network::collectInjector(NodeId n)
 void
 Network::collectRouter(NodeId n)
 {
-    Router& r = *routers_[n];
+    Router& r = routers_[n];
     const PortId net_ports = r.networkPorts();
 
     for (const SentFlit& s : r.sentFlits) {
@@ -574,17 +574,17 @@ Network::collectRouter(NodeId n)
 void
 Network::collectReceiver(NodeId n)
 {
-    Receiver& rcv = *receivers_[n];
+    Receiver& rcv = receivers_[n];
     for (const ReceiverCredit& c : rcv.credits) {
         waveIn(1).credits.push_back(PendingCredit{
-            n, static_cast<PortId>(routers_[n]->ejBase() + c.ejChannel),
+            n, static_cast<PortId>(routers_[n].ejBase() + c.ejChannel),
             c.vc});
     }
     // Starvation-timeout bkills tear the stranded ejection
     // reservation down toward the source.
     for (const ReceiverCredit& b : rcv.bkills) {
         waveIn(1).bkills.push_back(PendingBkill{
-            n, static_cast<PortId>(routers_[n]->ejBase() + b.ejChannel),
+            n, static_cast<PortId>(routers_[n].ejBase() + b.ejChannel),
             b.vc});
     }
 }
@@ -656,7 +656,7 @@ Network::shardWorker(unsigned s)
          id = nextAwake(injAwake, id + 1, end)) {
         injAwake[id] = 0;
         ctx.injWork.push_back(id);
-        injectors_[id]->tick(now);
+        injectors_[id].tick(now);
     }
     stampPhase(0);
     if (tracing)
@@ -664,7 +664,7 @@ Network::shardWorker(unsigned s)
     for (NodeId id = nextAwake(rtrAwake, begin, end); id < end;
          id = nextAwake(rtrAwake, id + 1, end)) {
         ctx.rtrWork.push_back(id);
-        routers_[id]->tick(now);
+        routers_[id].tick(now);
     }
     stampPhase(1);
     if (tracing)
@@ -673,7 +673,7 @@ Network::shardWorker(unsigned s)
          id = nextAwake(rcvAwake, id + 1, end)) {
         rcvAwake[id] = 0;
         ctx.rcvWork.push_back(id);
-        receivers_[id]->tick(now);
+        receivers_[id].tick(now);
     }
     stampPhase(2);
     ctx.ticks +=
@@ -816,9 +816,9 @@ Network::sweep()
     };
     for (const ShardCtx& ctx : shardCtx_) {
         for (const NodeId id : ctx.injWork) {
-            drainInjectorOutboxes(*injectors_[id]);
+            drainInjectorOutboxes(injectors_[id]);
             collectInjector(id);
-            scheduleInjector(id, injectors_[id]->nextEventCycle(now_));
+            scheduleInjector(id, injectors_[id].nextEventCycle(now_));
         }
     }
     bookPhase(TickPhase::Injectors, 0);
@@ -834,16 +834,16 @@ Network::sweep()
     for (const ShardCtx& ctx : shardCtx_) {
         for (const NodeId id : ctx.rtrWork) {
             collectRouter(id);
-            if (probe && routers_[id]->idle())
+            if (probe && routers_[id].idle())
                 rtrAwake_[id] = 0;
         }
     }
     bookPhase(TickPhase::Routers, 1);
     for (const ShardCtx& ctx : shardCtx_) {
         for (const NodeId id : ctx.rcvWork) {
-            drainReceiverOutboxes(*receivers_[id]);
+            drainReceiverOutboxes(receivers_[id]);
             collectReceiver(id);
-            scheduleReceiver(id, receivers_[id]->nextEventCycle(now_));
+            scheduleReceiver(id, receivers_[id].nextEventCycle(now_));
         }
     }
     foldShardCounters();
@@ -930,11 +930,11 @@ Network::sampleGauges(std::uint64_t& in_flight,
     const NodeId n = topo_->numNodes();
     for (NodeId id = 0; id < n; ++id) {
         if (injAwake_[id] != 0)
-            in_flight += injectors_[id]->activeWorms();
+            in_flight += injectors_[id].activeWorms();
         if (rtrAwake_[id] != 0)
-            buffered += routers_[id]->bufferedFlits();
+            buffered += routers_[id].bufferedFlits();
         if (rcvAwake_[id] != 0)
-            buffered += receivers_[id]->bufferedFlits();
+            buffered += receivers_[id].bufferedFlits();
     }
 }
 
@@ -976,7 +976,7 @@ Network::collectHeatmap() const
         return nullptr;
     auto hm = std::make_shared<HeatmapData>();
     const NodeId n = topo_->numNodes();
-    const PortId net_ports = routers_[0]->networkPorts();
+    const PortId net_ports = routers_[0].networkPorts();
     hm->radixK = cfg_.radixK;
     hm->dims = cfg_.dimensionsN;
     hm->netPorts = net_ports;
@@ -986,7 +986,7 @@ Network::collectHeatmap() const
         static_cast<std::size_t>(n) * net_ports, 0);
     hm->forwarded.assign(static_cast<std::size_t>(n) * net_ports, 0);
     for (NodeId id = 0; id < n; ++id) {
-        const Router& r = *routers_[id];
+        const Router& r = routers_[id];
         hm->occupancyIntegral[id] = r.heatOccupancyIntegral();
         for (PortId p = 0; p < net_ports; ++p) {
             const std::size_t at =
@@ -1004,7 +1004,7 @@ Network::runAuditSweep()
     AuditSnapshot snap;
     snap.now = now_;
     const NodeId n = topo_->numNodes();
-    const PortId net_ports = routers_[0]->networkPorts();
+    const PortId net_ports = routers_[0].networkPorts();
     const std::uint32_t vcs = cfg_.numVcs;
 
     // Edge table at fixed indices — network edges (keyed by their
@@ -1039,9 +1039,9 @@ Network::runAuditSweep()
     };
 
     for (NodeId id = 0; id < n; ++id) {
-        const Router& r = *routers_[id];
+        const Router& r = routers_[id];
         snap.bufferedFlits += r.bufferedFlits();
-        snap.bufferedFlits += receivers_[id]->bufferedFlits();
+        snap.bufferedFlits += receivers_[id].bufferedFlits();
 
         for (PortId p = 0; p < net_ports; ++p) {
             const NodeId up = topo_->neighbor(id, p);
@@ -1061,7 +1061,7 @@ Network::runAuditSweep()
                     continue;
                 }
                 const Router::OutputProbe o =
-                    routers_[up]->outputProbe(oppositePort(p), v);
+                    routers_[up].outputProbe(oppositePort(p), v);
                 e.credits = o.credits;
                 e.occupancy = r.inputOccupancy(p, v);
                 e.skip = o.quarantineUntil > now_ ||
@@ -1077,9 +1077,9 @@ Network::runAuditSweep()
                 e.node = id;
                 e.port = ch;
                 e.vc = v;
-                e.credits = injectors_[id]->slotCredits(ch, v);
+                e.credits = injectors_[id].slotCredits(ch, v);
                 e.occupancy = r.inputOccupancy(p, v);
-                e.skip = injectors_[id]->slotInCooldown(ch, v) ||
+                e.skip = injectors_[id].slotInCooldown(ch, v) ||
                          r.inputKillPending(p, v);
             }
         }
@@ -1093,7 +1093,7 @@ Network::runAuditSweep()
                 e.vc = v;
                 const Router::OutputProbe o = r.outputProbe(p, v);
                 e.credits = o.credits;
-                e.occupancy = receivers_[id]->occupancy(ch, v);
+                e.occupancy = receivers_[id].occupancy(ch, v);
                 e.skip = o.quarantineUntil > now_;
             }
         }
@@ -1222,11 +1222,11 @@ Network::sendMessage(NodeId src, NodeId dst, std::uint32_t payload_len,
 {
     if (src >= topo_->numNodes() || dst >= topo_->numNodes())
         fatal("sendMessage: node out of range");
-    if (injectors_[src]->queueFull())
+    if (injectors_[src].queueFull())
         return kInvalidMsg;  // Before a pair sequence is allocated.
     PendingMessage m = generator_->makeMessage(src, dst, payload_len,
                                                now_, measured);
-    injectors_[src]->enqueue(m);
+    injectors_[src].enqueue(m);
     wakeInjector(src);
     stats_.messagesGenerated.inc();
     if (ledger_ != nullptr)
@@ -1266,14 +1266,14 @@ Network::quiescent() const
     for (const Wave& w : buckets_)
         if (!w.empty())
             return false;
-    for (const auto& inj : injectors_)
-        if (!inj->idle())
+    for (const Injector& inj : injectors_)
+        if (!inj.idle())
             return false;
-    for (const auto& r : routers_)
-        if (!r->idle())
+    for (const Router& r : routers_)
+        if (!r.idle())
             return false;
-    for (const auto& rcv : receivers_)
-        if (!rcv->idle())
+    for (const Receiver& rcv : receivers_)
+        if (!rcv.idle())
             return false;
     return true;
 }
@@ -1290,14 +1290,14 @@ Network::dumpOccupancy(std::ostream& os) const
             os << "  y=" << std::setw(2) << yy << " |";
             for (std::uint32_t xx = 0; xx < k; ++xx) {
                 const NodeId id = xx + yy * k;
-                os << std::setw(4) << routers_[id]->bufferedFlits();
+                os << std::setw(4) << routers_[id].bufferedFlits();
             }
             os << "\n";
         }
         return;
     }
     for (NodeId id = 0; id < topo_->numNodes(); ++id) {
-        const std::uint64_t n = routers_[id]->bufferedFlits();
+        const std::uint64_t n = routers_[id].bufferedFlits();
         if (n > 0)
             os << "  node " << id << ": " << n << "\n";
     }
@@ -1326,7 +1326,7 @@ Network::dumpForensics(std::ostream& os) const
     os << "non-idle input VCs:\n";
     const NodeId n = topo_->numNodes();
     for (NodeId id = 0; id < n; ++id) {
-        const Router& r = *routers_[id];
+        const Router& r = routers_[id];
         for (PortId p = 0; p < r.numInPorts(); ++p) {
             for (VcId v = 0; v < cfg_.numVcs; ++v) {
                 const Router::InputProbe ip = r.inputProbe(p, v);
@@ -1370,7 +1370,7 @@ Network::dumpForensics(std::ostream& os) const
         for (std::uint32_t ch = 0; ch < cfg_.injectionChannels; ++ch) {
             for (VcId v = 0; v < cfg_.numVcs; ++v) {
                 const Injector::SlotProbe sp =
-                    injectors_[id]->slotProbe(ch, v);
+                    injectors_[id].slotProbe(ch, v);
                 if (!sp.active)
                     continue;
                 os << "  node " << id << " ch " << ch << " vc "
@@ -1386,7 +1386,7 @@ Network::dumpForensics(std::ostream& os) const
     os << "open assemblies:\n";
     for (NodeId id = 0; id < n; ++id) {
         for (const Receiver::AssemblyProbe& ap :
-             receivers_[id]->openAssemblies()) {
+             receivers_[id].openAssemblies()) {
             os << "  node " << id << ": msg " << ap.msg << " from "
                << ap.src << " attempt " << ap.attempt << " seq "
                << ap.nextSeq << "/" << ap.payloadLen
@@ -1427,11 +1427,11 @@ Network::serialize(Io& io)
     generator_->serialize(io);
     const NodeId n = topo_->numNodes();
     for (NodeId id = 0; id < n; ++id)
-        routers_[id]->serialize(io);
+        routers_[id].serialize(io);
     for (NodeId id = 0; id < n; ++id)
-        injectors_[id]->serialize(io);
+        injectors_[id].serialize(io);
     for (NodeId id = 0; id < n; ++id)
-        receivers_[id]->serialize(io);
+        receivers_[id].serialize(io);
 
     // Wave buckets, in vector-index order; restoring now_ keeps the
     // (now_ + delay) & mask indexing consistent.
@@ -1577,8 +1577,8 @@ Network::reseedStreams(std::uint64_t seed)
     generator_->setRng(root.fork());
     const NodeId n = topo_->numNodes();
     for (NodeId id = 0; id < n; ++id) {
-        routers_[id]->setRng(root.fork());
-        injectors_[id]->setRng(root.fork());
+        routers_[id].setRng(root.fork());
+        injectors_[id].setRng(root.fork());
     }
 }
 

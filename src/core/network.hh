@@ -113,9 +113,9 @@ class Network
     const Topology& topology() const { return *topo_; }
     FaultModel& faults() { return *faults_; }
     const RoutingAlgorithm& routing() const { return *routing_; }
-    Injector& injector(NodeId n) { return *injectors_[n]; }
-    Receiver& receiver(NodeId n) { return *receivers_[n]; }
-    Router& router(NodeId n) { return *routers_[n]; }
+    Injector& injector(NodeId n) { return injectors_[n]; }
+    Receiver& receiver(NodeId n) { return receivers_[n]; }
+    Router& router(NodeId n) { return routers_[n]; }
     TrafficGenerator& generator() { return *generator_; }
 
     /** The invariant auditor, or null when compiled out. */
@@ -418,12 +418,14 @@ class Network
      */
     unsigned shards_ = 1;
     /**
-     * Structure-of-arrays backing store for every router's mutable
-     * hot state (flit slots, VC books, arbitration pointers), indexed
-     * by node id. Declared before routers_, which hold raw pointers
-     * into it.
+     * Structure-of-arrays backing stores for every component's fixed-
+     * size state (flit slots, VC books, arbitration pointers, scratch,
+     * outboxes), indexed by node id. Declared before the component
+     * arrays, which hold raw pointers into them.
      */
     std::unique_ptr<Router::StatePool> routerPool_;
+    std::unique_ptr<Injector::StatePool> injectorPool_;
+    std::unique_ptr<Receiver::StatePool> receiverPool_;
     /**
      * Per-shard Counter accumulation blocks (shards > 1 only; with
      * one shard the components count straight into stats_).
@@ -435,9 +437,13 @@ class Network
      */
     std::vector<std::unique_ptr<NetworkStats>> shardStats_;
 
-    std::vector<std::unique_ptr<Router>> routers_;
-    std::vector<std::unique_ptr<Injector>> injectors_;
-    std::vector<std::unique_ptr<Receiver>> receivers_;
+    /**
+     * The components, contiguous in node order: one allocation per
+     * kind, reserved to the node count so they never move.
+     */
+    std::vector<Router> routers_;
+    std::vector<Injector> injectors_;
+    std::vector<Receiver> receivers_;
 
     /**
      * Delivery buckets, indexed by cycle modulo size (a power of two,

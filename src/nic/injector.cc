@@ -12,21 +12,67 @@
 
 namespace crnet {
 
+Injector::StatePool::StatePool(const SimConfig& cfg,
+                               std::uint64_t nodes)
+    : nodes_(nodes), channels_(cfg.injectionChannels),
+      slotsPerNode_(cfg.injectionChannels * cfg.numVcs)
+{
+    if (nodes == 0)
+        panic("Injector::StatePool needs at least one node");
+    const std::size_t n = static_cast<std::size_t>(nodes);
+    Slot fresh;
+    fresh.credits = cfg.bufferDepth;
+    const std::size_t slots = n * slotsPerNode_;
+    const auto carve = [&] {
+        slots_ = arena_.carve<Slot>(slots, fresh);
+        busyDests_ = arena_.carve<NodeId>(slots, kInvalidNode);
+        rrVc_ = arena_.carve<VcId>(n * channels_);
+        channelUsed_ = arena_.carve<std::uint8_t>(n * channels_);
+        pendingRetries_ = arena_.carve<PendingMessage>(slots);
+        sent_ = arena_.carve<InjectedFlit>(n * channels_);
+        failed_ = arena_.carve<FailedMessage>(slots + n * channels_);
+        committed_ = arena_.carve<CommittedSample>(n * channels_);
+    };
+    carve();
+    arena_.allocate();
+    carve();
+}
+
+std::size_t
+Injector::StatePool::bytes() const
+{
+    return arena_.bytes();
+}
+
 Injector::Injector(NodeId node, const SimConfig& cfg,
                    const Topology& topo, const RoutingAlgorithm& algo,
-                   NetworkStats* stats, Rng rng)
+                   NetworkStats* stats, Rng rng, StatePool& pool,
+                   std::uint64_t poolIndex)
     : node_(node), cfg_(cfg), topo_(topo), algo_(algo), stats_(stats),
-      rng_(rng),
-      slots_(static_cast<std::size_t>(cfg.injectionChannels) *
-             cfg.numVcs),
-      busyDests_(slots_.size(), kInvalidNode),
-      rrVc_(cfg.injectionChannels, 0),
-      channelUsed_(cfg.injectionChannels, false)
+      rng_(rng)
 {
     if (stats == nullptr)
         panic("Injector requires a NetworkStats block");
-    for (auto& s : slots_)
-        s.credits = cfg.bufferDepth;
+    const std::size_t slots = pool.slotsPerNode_;
+    const std::size_t chans = pool.channels_;
+    if (poolIndex >= pool.nodes_ || chans != cfg.injectionChannels ||
+        slots != static_cast<std::size_t>(cfg.injectionChannels) *
+                     cfg.numVcs) {
+        panic("Injector::StatePool geometry mismatch for node ", node,
+              " (pool index ", poolIndex, " of ", pool.nodes_, ")");
+    }
+    const std::size_t i = static_cast<std::size_t>(poolIndex);
+    slots_ = std::span<Slot>(&pool.slots_[i * slots], slots);
+    busyDests_ = &pool.busyDests_[i * slots];
+    rrVc_ = &pool.rrVc_[i * chans];
+    channelUsed_ = &pool.channelUsed_[i * chans];
+    pendingRetries_ = FixedVec<PendingMessage>(
+        &pool.pendingRetries_[i * slots], slots);
+    sent = FixedVec<InjectedFlit>(&pool.sent_[i * chans], chans);
+    failed = FixedVec<FailedMessage>(
+        &pool.failed_[i * (slots + chans)], slots + chans);
+    committedStats =
+        FixedVec<CommittedSample>(&pool.committed_[i * chans], chans);
 }
 
 Injector::Slot&
@@ -91,19 +137,18 @@ Injector::requeueFront(const PendingMessage& msg)
 bool
 Injector::destBusy(NodeId dst) const
 {
-    const NodeId* end = busyDests_.data() + busyCount_;
-    return std::binary_search(busyDests_.data(), end, dst);
+    return std::binary_search(busyDests_, busyDests_ + busyCount_, dst);
 }
 
 void
 Injector::reserveDest(NodeId dst)
 {
-    NodeId* begin = busyDests_.data();
+    NodeId* begin = busyDests_;
     NodeId* end = begin + busyCount_;
     NodeId* pos = std::lower_bound(begin, end, dst);
     if (pos != end && *pos == dst)
         return;
-    if (busyCount_ == busyDests_.size())
+    if (busyCount_ == slots_.size())
         panic("more busy destinations than injection slots at node ",
               node_);
     std::copy_backward(pos, end, end + 1);
@@ -115,7 +160,7 @@ Injector::reserveDest(NodeId dst)
 void
 Injector::releaseDest(NodeId dst)
 {
-    NodeId* begin = busyDests_.data();
+    NodeId* begin = busyDests_;
     NodeId* end = begin + busyCount_;
     NodeId* pos = std::lower_bound(begin, end, dst);
     if (pos == end || *pos != dst)
@@ -300,7 +345,7 @@ Injector::killWorm(std::uint32_t ch, VcId vc, Cycle now)
     token.attempt = s.msg.attempt;
     CRNET_AUDIT_HOOK(audit_, onKillIssued(token.msg, token.attempt));
     sent.push_back(InjectedFlit{ch, vc, token});
-    channelUsed_[ch] = true;
+    channelUsed_[ch] = 1;
 
     PendingMessage retry = s.msg;
     retry.attempt = static_cast<std::uint16_t>(retry.attempt + 1);
@@ -498,7 +543,8 @@ Injector::tick(Cycle now)
     sent.clear();
     failed.clear();
     committedStats.clear();
-    std::fill(channelUsed_.begin(), channelUsed_.end(), false);
+    std::fill(channelUsed_, channelUsed_ + cfg_.injectionChannels,
+              std::uint8_t{0});
 
     // Finish processing aborts accepted during delivery.
     for (PendingMessage& retry : pendingRetries_)
@@ -620,9 +666,9 @@ Injector::serialize(Io& io)
     std::uint64_t busy = busyCount_;
     io.length(busy);
     if constexpr (Io::kLoading) {
-        if (busy > busyDests_.size())
+        if (busy > slots_.size())
             panic("snapshot has ", busy, " busy destinations for ",
-                  busyDests_.size(), " injection slots at node ", node_);
+                  slots_.size(), " injection slots at node ", node_);
         busyCount_ = static_cast<std::uint32_t>(busy);
         admissionBlockedUntil_ = 0;
     }
@@ -636,10 +682,10 @@ Injector::serialize(Io& io)
                       "ascending at node ", node_);
         }
     }
-    for (VcId& vc : rrVc_) {
-        io.u16(vc);
+    for (std::uint32_t ch = 0; ch < cfg_.injectionChannels; ++ch) {
+        io.u16(rrVc_[ch]);
         if constexpr (Io::kLoading)
-            checkedIndex(vc, cfg_.numVcs, "injector round-robin VC");
+            checkedIndex(rrVc_[ch], cfg_.numVcs, "injector round-robin VC");
     }
     serializeRng(io, rng_);
     if constexpr (Io::kLoading) {

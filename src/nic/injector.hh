@@ -27,13 +27,16 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "src/core/annotations.hh"
 #include "src/core/metrics.hh"
 #include "src/router/flit.hh"
 #include "src/routing/routing.hh"
+#include "src/sim/arena.hh"
 #include "src/sim/config.hh"
+#include "src/sim/fixed_vec.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/types.hh"
 #include "src/topology/topology.hh"
@@ -69,10 +72,79 @@ struct CommittedSample
 /** Per-node source interface. */
 class Injector
 {
+  private:
+    struct Slot
+    {
+        enum class State { Free, Active, Cooldown };
+
+        State state = State::Free;
+        std::uint32_t credits = 0;
+        Cycle cooldownUntil = 0;
+
+        // Valid while Active:
+        PendingMessage msg;
+        std::uint32_t wireLen = 0;
+        std::uint32_t nextSeq = 0;
+        std::uint32_t hops = 0;
+        Cycle startCycle = 0;
+        Cycle stallCycles = 0;
+        Cycle headInjectedAt = 0;
+    };
+
   public:
+    /**
+     * Backing store for every injector of one network: slots,
+     * round-robin pointers, busy-destination sets, per-cycle scratch
+     * and outboxes in per-field arrays indexed by node id, sized once
+     * at construction (see Router::StatePool).
+     */
+    class StatePool
+    {
+      public:
+        /** Size arrays for `nodes` injectors under `cfg` geometry. */
+        StatePool(const SimConfig& cfg, std::uint64_t nodes);
+
+        StatePool(const StatePool&) = delete;
+        StatePool& operator=(const StatePool&) = delete;
+
+        /** Bytes held by the pool arrays. */
+        std::size_t bytes() const;
+
+      private:
+        friend class Injector;
+
+        std::uint64_t nodes_;
+        std::uint32_t channels_;
+        std::uint32_t slotsPerNode_;  //!< Channels x VCs.
+
+        /** One block holding every array below. */
+        Arena arena_;
+        Slot* slots_;                   //!< [node][ch][vc].
+        NodeId* busyDests_;             //!< [node][slot].
+        VcId* rrVc_;                    //!< [node][ch].
+        std::uint8_t* channelUsed_;     //!< [node][ch].
+        // Per-tick bounds: an abort retires one Active slot until the
+        // next tick; one flit (or kill token) and at most one commit
+        // per channel; a give-up per retry or per kill.
+        PendingMessage* pendingRetries_;  //!< [node][slot].
+        InjectedFlit* sent_;              //!< [node][ch].
+        FailedMessage* failed_;           //!< [node][slot + ch].
+        CommittedSample* committed_;      //!< [node][ch].
+    };
+
+    /**
+     * Injector for node `node`, backed by slice `poolIndex` of `pool`
+     * (which must outlive it).
+     */
     Injector(NodeId node, const SimConfig& cfg, const Topology& topo,
              const RoutingAlgorithm& algo, NetworkStats* stats,
-             Rng rng);
+             Rng rng, StatePool& pool, std::uint64_t poolIndex);
+
+    // Copies would alias the pool slice; moves exist only so
+    // injectors can live in a reserved std::vector.
+    Injector(const Injector&) = delete;
+    Injector& operator=(const Injector&) = delete;
+    Injector(Injector&&) noexcept = default;
 
     /**
      * Queue a message for transmission. Returns false (and counts a
@@ -91,9 +163,9 @@ class Injector
 
     /** Backward kill reached the source: abort and schedule a retry. */
     CRNET_ALLOW("alloc",
-                "per-abort retry bookkeeping: requeue/retry-list "
-                "growth is amortized and recycled in steady state "
-                "(tests/test_alloc_steady.cc)")
+                "pendingRetries_ is a fixed pool slice, but its "
+                "declared type names classes from files the analyzer "
+                "indexes later, so its push_back is unresolved")
     void acceptAbort(std::uint32_t inj_channel, VcId vc, MsgId msg);
 
     // --- Compute phase -------------------------------------------------
@@ -103,7 +175,7 @@ class Injector
     void tick(Cycle now);
 
     /** Flits entering injection channels this cycle. */
-    std::vector<InjectedFlit> sent;
+    FixedVec<InjectedFlit> sent;
 
     // --- Deferred stats ------------------------------------------------
     //
@@ -114,10 +186,10 @@ class Injector
     // update sequence is the same at every shard count.
 
     /** Give-ups staged this tick (valid after tick; drained by owner). */
-    std::vector<FailedMessage> failed;
+    FixedVec<FailedMessage> failed;
 
     /** Measured commits staged this tick (same lifecycle as `failed`). */
-    std::vector<CommittedSample> committedStats;
+    FixedVec<CommittedSample> committedStats;
 
     // --- Introspection ---------------------------------------------------
 
@@ -187,40 +259,21 @@ class Injector
     void setRng(const Rng& rng) { rng_ = rng; }
 
   private:
-    struct Slot
-    {
-        enum class State { Free, Active, Cooldown };
-
-        State state = State::Free;
-        std::uint32_t credits = 0;
-        Cycle cooldownUntil = 0;
-
-        // Valid while Active:
-        PendingMessage msg;
-        std::uint32_t wireLen = 0;
-        std::uint32_t nextSeq = 0;
-        std::uint32_t hops = 0;
-        Cycle startCycle = 0;
-        Cycle stallCycles = 0;
-        Cycle headInjectedAt = 0;
-    };
-
     Slot& slot(std::uint32_t ch, VcId vc);
     const Slot& slot(std::uint32_t ch, VcId vc) const;
     void startWorms(Cycle now);
     void checkTimeouts(Cycle now);
     void injectFlits(Cycle now);
     void killWorm(std::uint32_t ch, VcId vc, Cycle now);
-    CRNET_ALLOW("alloc",
-                "per-retry queue bookkeeping: deque block growth is "
-                "amortized and recycled in steady state "
-                "(tests/test_alloc_steady.cc)")
     void requeueForRetry(PendingMessage msg, Cycle now);
     Flit buildFlit(const Slot& s, std::uint32_t seq, Cycle now) const;
     bool timeoutExpired(const Slot& s, Cycle now) const;
     /** Rescan queue_ for the exact min notBefore (erase-of-min). */
     void recomputeQueueMin();
     /** Put a message back at the front of queue_. */
+    CRNET_ALLOW("alloc",
+                "retry requeue: deque block growth is amortized and "
+                "recycled in steady state (tests/test_alloc_steady.cc)")
     void requeueFront(const PendingMessage& msg);
     bool destBusy(NodeId dst) const;
     void reserveDest(NodeId dst);
@@ -245,15 +298,15 @@ class Injector
      */
     Cycle queueMinNotBefore_ = kNeverCycle;
     /** Aborts accepted during delivery, requeued at the next tick. */
-    std::vector<PendingMessage> pendingRetries_;
-    std::vector<Slot> slots_;  //!< [channel][vc] flattened.
+    FixedVec<PendingMessage> pendingRetries_;
+    std::span<Slot> slots_;  //!< [channel][vc] flattened.
     /**
      * Destinations reserved by in-flight worms, a set kept as the
      * ascending prefix busyDests_[0, busyCount_). Every entry belongs
-     * to at least one Active slot, so the array is sized once to the
-     * slot count and admission never allocates or hashes.
+     * to at least one Active slot, so the slice holds one entry per
+     * slot and admission never allocates or hashes.
      */
-    std::vector<NodeId> busyDests_;
+    NodeId* busyDests_ = nullptr;
     std::uint32_t busyCount_ = 0;
     /**
      * Admission memo: the last startWorms scan found nothing, and with
@@ -264,8 +317,8 @@ class Injector
      * on restore.
      */
     Cycle admissionBlockedUntil_ = 0;
-    std::vector<VcId> rrVc_;   //!< Injection arbitration per channel.
-    std::vector<bool> channelUsed_;  //!< One flit/channel/cycle.
+    VcId* rrVc_ = nullptr;  //!< Injection arbitration per channel.
+    std::uint8_t* channelUsed_ = nullptr;  //!< One flit/channel/cycle.
 };
 
 } // namespace crnet

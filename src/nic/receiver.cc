@@ -9,27 +9,65 @@
 
 namespace crnet {
 
+Receiver::StatePool::StatePool(const SimConfig& cfg,
+                               std::uint64_t nodes)
+    : nodes_(nodes), channels_(cfg.ejectionChannels),
+      vcsPerNode_(cfg.ejectionChannels * cfg.numVcs),
+      depth_(cfg.bufferDepth),
+      sources_(cfg.numNodes() <= kDenseSeqNodeLimit ? cfg.numNodes()
+                                                    : 0)
+{
+    if (nodes == 0)
+        panic("Receiver::StatePool needs at least one node");
+    const std::size_t n = static_cast<std::size_t>(nodes);
+    const std::size_t vcs = n * vcsPerNode_;
+    // One block, carved once; receivers hold raw pointers into it.
+    const auto carve = [&] {
+        flitSlots_ = arena_.carve<Flit>(vcs * depth_);
+        bufs_ = arena_.carve<VcBuffer>(vcs);
+        rrVc_ = arena_.carve<VcId>(n * channels_);
+        credits_ = arena_.carve<ReceiverCredit>(n * channels_);
+        lastSeq_ = arena_.carve<std::int64_t>(n * sources_, -1);
+    };
+    carve();
+    arena_.allocate();
+    carve();
+    for (std::size_t i = 0; i < vcs; ++i)
+        bufs_[i].buf.bind(&flitSlots_[i * depth_], depth_);
+}
+
+std::size_t
+Receiver::StatePool::bytes() const
+{
+    return arena_.bytes();
+}
+
 Receiver::Receiver(NodeId node, const SimConfig& cfg,
-                   NetworkStats* stats)
-    : node_(node), cfg_(cfg), stats_(stats),
-      rrVc_(cfg.ejectionChannels, 0)
+                   NetworkStats* stats, StatePool& pool,
+                   std::uint64_t poolIndex)
+    : node_(node), cfg_(cfg), stats_(stats)
 {
     if (stats == nullptr)
         panic("Receiver requires a NetworkStats block");
-    if (cfg.numNodes() <= kDenseSeqNodeLimit)
-        lastSeqDense_.assign(cfg.numNodes(), -1);
+    const std::size_t vcs = pool.vcsPerNode_;
+    const std::size_t chans = pool.channels_;
+    if (poolIndex >= pool.nodes_ || chans != cfg.ejectionChannels ||
+        vcs != static_cast<std::size_t>(cfg.ejectionChannels) *
+                   cfg.numVcs ||
+        pool.depth_ != cfg.bufferDepth) {
+        panic("Receiver::StatePool geometry mismatch for node ", node,
+              " (pool index ", poolIndex, " of ", pool.nodes_, ")");
+    }
+    const std::size_t i = static_cast<std::size_t>(poolIndex);
+    bufs_ = std::span<VcBuffer>(&pool.bufs_[i * vcs], vcs);
+    rrVc_ = &pool.rrVc_[i * chans];
+    credits = FixedVec<ReceiverCredit>(&pool.credits_[i * chans], chans);
+    if (pool.sources_ != 0)
+        lastSeqDense_ = &pool.lastSeq_[i * pool.sources_];
     // Far beyond any stall the source timeout resolves on its own
     // (timeout scales with VC sharing, plus kill/retry round trips).
     const Cycle legit = 16 * (cfg.timeout + 1) * cfg.numVcs;
     starvationThreshold_ = legit < 512 ? 512 : legit;
-    bufs_.reserve(static_cast<std::size_t>(cfg.ejectionChannels) *
-                  cfg.numVcs);
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(cfg.ejectionChannels) *
-                 cfg.numVcs;
-         ++i) {
-        bufs_.emplace_back(cfg.bufferDepth);
-    }
 }
 
 Receiver::VcBuffer&
@@ -376,7 +414,7 @@ Receiver::checkDeliveryOrder(NodeId src, std::uint32_t pair_seq)
         return;
     }
     std::int64_t& last =
-        !lastSeqDense_.empty()
+        lastSeqDense_ != nullptr
             ? lastSeqDense_[src]
             : lastSeqSparse_.try_emplace(src, -1).first->second;
     if (static_cast<std::int64_t>(pair_seq) < last)
@@ -506,10 +544,10 @@ Receiver::serialize(Io& io)
         io.b(vb.refusing);
         io.u64(vb.refusedMsg);
     }
-    for (VcId& vc : rrVc_) {
-        io.u16(vc);
+    for (std::uint32_t ch = 0; ch < cfg_.ejectionChannels; ++ch) {
+        io.u16(rrVc_[ch]);
         if constexpr (Io::kLoading)
-            checkedIndex(vc, cfg_.numVcs, "receiver round-robin VC");
+            checkedIndex(rrVc_[ch], cfg_.numVcs, "receiver round-robin VC");
     }
 
     sortedByKey(io, assemblies_, [&io](auto& entry) {
@@ -535,8 +573,8 @@ Receiver::serialize(Io& io)
     // sparse map's absent keys).
     std::vector<std::pair<NodeId, std::int64_t>> seqs;
     if constexpr (!Io::kLoading) {
-        if (!lastSeqDense_.empty()) {
-            for (NodeId src = 0; src < lastSeqDense_.size(); ++src)
+        if (lastSeqDense_ != nullptr) {
+            for (NodeId src = 0; src < cfg_.numNodes(); ++src)
                 if (lastSeqDense_[src] != -1)
                     seqs.emplace_back(src, lastSeqDense_[src]);
         } else {
@@ -548,12 +586,13 @@ Receiver::serialize(Io& io)
         io.i64(entry.second);
     });
     if constexpr (Io::kLoading) {
-        std::fill(lastSeqDense_.begin(), lastSeqDense_.end(), -1);
+        if (lastSeqDense_ != nullptr)
+            std::fill(lastSeqDense_, lastSeqDense_ + cfg_.numNodes(), -1);
         lastSeqSparse_.clear();
         for (const auto& [src, seq] : seqs) {
             const std::size_t i =
                 checkedIndex(src, cfg_.numNodes(), "source node");
-            if (!lastSeqDense_.empty())
+            if (lastSeqDense_ != nullptr)
                 lastSeqDense_[i] = seq;
             else
                 lastSeqSparse_.emplace(src, seq);

@@ -40,6 +40,7 @@
 #define CRNET_NIC_RECEIVER_HH
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -48,7 +49,9 @@
 #include "src/core/metrics.hh"
 #include "src/router/buffer.hh"
 #include "src/router/flit.hh"
+#include "src/sim/arena.hh"
 #include "src/sim/config.hh"
+#include "src/sim/fixed_vec.hh"
 #include "src/sim/types.hh"
 
 namespace crnet {
@@ -82,8 +85,66 @@ struct ReceiverCredit
 /** Per-node sink interface. */
 class Receiver
 {
+  private:
+    struct VcBuffer
+    {
+        FlitBuffer buf;  //!< Bound to pool flit slots.
+        bool refusing = false;
+        MsgId refusedMsg = kInvalidMsg;
+    };
+
   public:
-    Receiver(NodeId node, const SimConfig& cfg, NetworkStats* stats);
+    /**
+     * Backing store for every receiver of one network: ejection VC
+     * buffers with their flit slots, round-robin pointers, the credit
+     * outbox and the dense per-source sequence table, in per-field
+     * arrays indexed by node id and sized once at construction (see
+     * Router::StatePool).
+     */
+    class StatePool
+    {
+      public:
+        /** Size arrays for `nodes` receivers under `cfg` geometry. */
+        StatePool(const SimConfig& cfg, std::uint64_t nodes);
+
+        StatePool(const StatePool&) = delete;
+        StatePool& operator=(const StatePool&) = delete;
+
+        /** Bytes held by the pool arrays. */
+        std::size_t bytes() const;
+
+      private:
+        friend class Receiver;
+
+        std::uint64_t nodes_;
+        std::uint32_t channels_;
+        std::uint32_t vcsPerNode_;  //!< Ejection channels x VCs.
+        std::size_t depth_;
+        std::uint64_t sources_;  //!< Dense-table width (0: sparse).
+
+        /** One block holding every array below. */
+        Arena arena_;
+        Flit* flitSlots_;       //!< [node][ch][vc][depth].
+        VcBuffer* bufs_;        //!< [node][ch][vc].
+        VcId* rrVc_;            //!< [node][ch].
+        /** Credit outbox: one consumed flit per channel per tick. */
+        ReceiverCredit* credits_;  //!< [node][ch].
+        /** Last delivered sequence, -1 for none. */
+        std::int64_t* lastSeq_;    //!< [node][src].
+    };
+
+    /**
+     * Receiver for node `node`, backed by slice `poolIndex` of `pool`
+     * (which must outlive it).
+     */
+    Receiver(NodeId node, const SimConfig& cfg, NetworkStats* stats,
+             StatePool& pool, std::uint64_t poolIndex);
+
+    // Copies would alias the pool slice; moves exist only so
+    // receivers can live in a reserved std::vector.
+    Receiver(const Receiver&) = delete;
+    Receiver& operator=(const Receiver&) = delete;
+    Receiver(Receiver&&) noexcept = default;
 
     // --- Delivery phase ----------------------------------------------
 
@@ -98,7 +159,7 @@ class Receiver
     void tick(Cycle now);
 
     /** Credits owed to the router's ejection output VCs this cycle. */
-    std::vector<ReceiverCredit> credits;
+    FixedVec<ReceiverCredit> credits;
 
     /**
      * Backward kills owed to the router's ejection output VCs this
@@ -186,15 +247,6 @@ class Receiver
     void serialize(Io& io);
 
   private:
-    struct VcBuffer
-    {
-        explicit VcBuffer(std::size_t depth) : buf(depth) {}
-
-        FlitBuffer buf;
-        bool refusing = false;
-        MsgId refusedMsg = kInvalidMsg;
-    };
-
     struct Assembly
     {
         NodeId src = kInvalidNode;
@@ -254,8 +306,8 @@ class Receiver
     Auditor* audit_ = nullptr;
     Tracer* trace_ = nullptr;
 
-    std::vector<VcBuffer> bufs_;  //!< [channel][vc] flattened.
-    std::vector<VcId> rrVc_;      //!< Consumption RR per channel.
+    std::span<VcBuffer> bufs_;  //!< [channel][vc] flattened.
+    VcId* rrVc_ = nullptr;      //!< Consumption RR per channel.
     std::unordered_map<MsgId, Assembly> assemblies_;
     /**
      * Exactly-once / order bookkeeping. A delivery whose pairSeq was
@@ -267,16 +319,16 @@ class Receiver
     /**
      * Per-source last-delivered-sequence table, adaptive by network
      * size. Small networks (<= kDenseSeqNodeLimit nodes, which covers
-     * every paper-scale configuration) use the dense vector — one
-     * branch-free indexed load per delivery, -1 meaning nothing
-     * delivered yet. Above the limit the dense form is O(nodes^2) per
-     * network (34 GB on a 64k-node torus), so giant networks fall
-     * back to a sparse map holding only the sources that actually
-     * reached this node. Both forms serialize identically (sorted,
-     * non-empty entries only).
+     * every paper-scale configuration) use a dense row of the pool's
+     * network-wide table — one branch-free indexed load per delivery,
+     * -1 meaning nothing delivered yet. Above the limit the dense form
+     * is O(nodes^2) per network (34 GB on a 64k-node torus), so giant
+     * networks fall back to a sparse map holding only the sources that
+     * actually reached this node (lastSeqDense_ is null). Both forms
+     * serialize identically (sorted, non-empty entries only).
      */
     static constexpr NodeId kDenseSeqNodeLimit = 512;
-    std::vector<std::int64_t> lastSeqDense_;
+    std::int64_t* lastSeqDense_ = nullptr;
     std::unordered_map<NodeId, std::int64_t> lastSeqSparse_;
     std::unordered_set<std::uint64_t> seenSeq_;  //!< (src<<32)|seq.
     std::uint64_t delivered_ = 0;

@@ -5,14 +5,11 @@
  * A plain ring buffer: wormhole simulation enqueues/dequeues millions of
  * flits, so this avoids per-flit allocation entirely.
  *
- * Two storage modes share the same queue logic:
- *   - *Owning* (the historical mode): the buffer allocates its own
- *     slot array. Standalone components (tests, the receiver's
- *     ejection VCs) use this.
- *   - *Bound*: the buffer indexes a caller-owned slot slice via
- *     `bind()`. The router structure-of-arrays pool packs every VC
- *     buffer of every node into one contiguous flit array so the
- *     sharded hot path walks cache-dense state (docs/PERFORMANCE.md).
+ * The buffer never owns storage: `bind()` attaches a caller-owned slot
+ * slice. The router and receiver pools pack every VC buffer of every
+ * node into one contiguous flit array each, so the sharded hot path
+ * walks cache-dense state (docs/PERFORMANCE.md); a test binds a local
+ * array.
  *
  * Indices are 32-bit and wrap by compare-and-subtract (head + count
  * never exceeds twice the capacity), so no operation divides.
@@ -24,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 
 #include "src/sim/log.hh"
 #include "src/router/flit.hh"
@@ -38,18 +34,9 @@ class FlitBuffer
     /** Unbound buffer: capacity 0 until `bind()` attaches storage. */
     FlitBuffer() = default;
 
-    /** @param capacity Maximum number of buffered flits (> 0). */
-    explicit FlitBuffer(std::size_t capacity)
-        : cap_(checkedCapacity(capacity))
-    {
-        owned_ = std::make_unique<Flit[]>(cap_);
-        slots_ = owned_.get();
-    }
-
     /**
      * Attach caller-owned slot storage (`cap` > 0 flits). The slice
-     * must outlive the buffer; any owned storage is released. Only
-     * valid on an empty buffer.
+     * must outlive the buffer. Only valid on an empty buffer.
      */
     void
     bind(Flit* slots, std::size_t cap)
@@ -59,7 +46,6 @@ class FlitBuffer
         if (count_ != 0)
             panic("FlitBuffer::bind on a non-empty buffer");
         cap_ = checkedCapacity(cap);
-        owned_.reset();
         slots_ = slots;
         head_ = 0;
     }
@@ -149,8 +135,7 @@ class FlitBuffer
         return i >= cap_ ? i - cap_ : i;
     }
 
-    std::unique_ptr<Flit[]> owned_;  //!< Storage when not bound.
-    Flit* slots_ = nullptr;          //!< owned_ or the pool slice.
+    Flit* slots_ = nullptr;  //!< The bound slot slice.
     std::uint32_t cap_ = 0;
     std::uint32_t head_ = 0;
     std::uint32_t count_ = 0;

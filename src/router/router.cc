@@ -12,58 +12,50 @@ namespace crnet {
 Router::StatePool::StatePool(const SimConfig& cfg,
                              std::uint64_t nodes)
     : nodes_(nodes),
-      inPorts_(static_cast<PortId>(2 * cfg.dimensionsN +
-                                   cfg.injectionChannels)),
-      outPorts_(static_cast<PortId>(2 * cfg.dimensionsN +
-                                    cfg.ejectionChannels)),
+      netPorts_(static_cast<PortId>(2 * cfg.dimensionsN)),
+      inPorts_(static_cast<PortId>(netPorts_ + cfg.injectionChannels)),
+      outPorts_(static_cast<PortId>(netPorts_ + cfg.ejectionChannels)),
       vcs_(cfg.numVcs),
+      injVcs_(cfg.injectionChannels * cfg.numVcs),
       depth_(cfg.bufferDepth)
 {
     if (nodes == 0)
         panic("StatePool needs at least one node");
-    const std::size_t inVcs =
-        static_cast<std::size_t>(nodes) * inPorts_ * vcs_;
-    const std::size_t outVcs =
-        static_cast<std::size_t>(nodes) * outPorts_ * vcs_;
-    // Size everything once; the arrays must never reallocate because
-    // routers hold raw base pointers into them.
-    flitSlots_.resize(inVcs * depth_);
-    inputs_.resize(inVcs);
-    killFlits_.resize(inVcs);
-    outputs_.resize(outVcs);
-    rrInVc_.assign(static_cast<std::size_t>(nodes) * inPorts_, 0);
-    rrOutIn_.assign(static_cast<std::size_t>(nodes) * outPorts_, 0);
-    outPortBusy_.assign(static_cast<std::size_t>(nodes) * outPorts_,
-                        0);
+    const std::size_t n = static_cast<std::size_t>(nodes);
+    const std::size_t inVcs = n * inPorts_ * vcs_;
+    const std::size_t outVcs = n * outPorts_ * vcs_;
+    const std::size_t netVcs = n * netPorts_ * vcs_;
+    // One block, carved once; routers hold raw pointers into it.
+    OutputVc out;
+    out.credits = cfg.bufferDepth;
+    const auto carve = [&] {
+        flitSlots_ = arena_.carve<Flit>(inVcs * depth_);
+        inputs_ = arena_.carve<InputVc>(inVcs);
+        killFlits_ = arena_.carve<Flit>(inVcs);
+        outputs_ = arena_.carve<OutputVc>(outVcs, out);
+        rrInVc_ = arena_.carve<VcId>(n * inPorts_);
+        rrOutIn_ = arena_.carve<PortId>(n * outPorts_);
+        outPortBusy_ = arena_.carve<std::uint8_t>(n * outPorts_);
+        switchBest_ = arena_.carve<SwitchReq>(n * outPorts_);
+        candidates_ = arena_.carve<Candidate>(netVcs);
+        sentFlits_ = arena_.carve<SentFlit>(n * outPorts_);
+        sentCredits_ = arena_.carve<SentCredit>(n * outPorts_);
+        sentBkills_ = arena_.carve<SentBkill>(netVcs);
+        sentAborts_ = arena_.carve<SentAbort>(n * injVcs_);
+    };
+    carve();
+    arena_.allocate();
+    carve();
     for (std::size_t i = 0; i < inVcs; ++i)
         inputs_[i].buf.bind(&flitSlots_[i * depth_], depth_);
+    for (std::size_t i = 0; i < outVcs; ++i)
+        outputs_[i].ejection = i / vcs_ % outPorts_ >= netPorts_;
 }
 
 std::size_t
 Router::StatePool::bytes() const
 {
-    return flitSlots_.capacity() * sizeof(Flit) +
-           inputs_.capacity() * sizeof(InputVc) +
-           killFlits_.capacity() * sizeof(Flit) +
-           outputs_.capacity() * sizeof(OutputVc) +
-           rrInVc_.capacity() * sizeof(VcId) +
-           rrOutIn_.capacity() * sizeof(PortId) +
-           outPortBusy_.capacity() * sizeof(std::uint8_t);
-}
-
-Router::Router(NodeId id, const SimConfig& cfg,
-               const RoutingAlgorithm& algo, RouterStats* stats,
-               Rng rng)
-    : id_(id), cfg_(cfg), algo_(algo), stats_(stats), rng_(rng),
-      networkPorts_(static_cast<PortId>(2 * cfg.dimensionsN)),
-      numInPorts_(static_cast<PortId>(networkPorts_ +
-                                      cfg.injectionChannels)),
-      numOutPorts_(static_cast<PortId>(networkPorts_ +
-                                       cfg.ejectionChannels)),
-      numVcs_(cfg.numVcs),
-      selfPool_(std::make_unique<StatePool>(cfg, 1))
-{
-    attach(*selfPool_, 0);
+    return arena_.bytes();
 }
 
 Router::Router(NodeId id, const SimConfig& cfg,
@@ -77,43 +69,34 @@ Router::Router(NodeId id, const SimConfig& cfg,
                                        cfg.ejectionChannels)),
       numVcs_(cfg.numVcs)
 {
-    attach(pool, poolIndex);
-}
-
-void
-Router::attach(StatePool& pool, std::uint64_t index)
-{
     if (stats_ == nullptr)
         panic("Router requires a shared RouterStats block");
-    if (index >= pool.nodes_ || pool.inPorts_ != numInPorts_ ||
+    if (poolIndex >= pool.nodes_ || pool.inPorts_ != numInPorts_ ||
         pool.outPorts_ != numOutPorts_ || pool.vcs_ != numVcs_ ||
         pool.depth_ != cfg_.bufferDepth) {
         panic("StatePool geometry mismatch for router ", id_,
-              " (pool index ", index, " of ", pool.nodes_, ")");
+              " (pool index ", poolIndex, " of ", pool.nodes_, ")");
     }
 
-    inputs_ = &pool.inputs_[index * numInVcs()];
-    killFlits_ = &pool.killFlits_[index * numInVcs()];
-    outputs_ = &pool.outputs_[index * numOutVcs()];
-    rrInVc_ = &pool.rrInVc_[index * numInPorts_];
-    rrOutIn_ = &pool.rrOutIn_[index * numOutPorts_];
-    outPortBusy_ = &pool.outPortBusy_[index * numOutPorts_];
-
-    for (PortId p = 0; p < numOutPorts_; ++p) {
-        for (VcId v = 0; v < numVcs_; ++v) {
-            OutputVc& o = ovc(p, v);
-            o.credits = cfg_.bufferDepth;
-            o.ejection = p >= ejBase();
-        }
-    }
-
-    switchBest_.assign(numOutPorts_, SwitchReq{});
-    scratch_.reserve(numOutVcs());
-    sentFlits.reserve(numOutVcs());
-    sentCredits.reserve(numInVcs());
-    sentBkills.reserve(8);
-    sentAborts.reserve(8);
-    pendingBkillsAsOut_.reserve(8);
+    const std::size_t i = static_cast<std::size_t>(poolIndex);
+    const std::size_t netVcs =
+        static_cast<std::size_t>(networkPorts_) * numVcs_;
+    inputs_ = &pool.inputs_[i * numInVcs()];
+    killFlits_ = &pool.killFlits_[i * numInVcs()];
+    outputs_ = &pool.outputs_[i * numOutVcs()];
+    rrInVc_ = &pool.rrInVc_[i * numInPorts_];
+    rrOutIn_ = &pool.rrOutIn_[i * numOutPorts_];
+    outPortBusy_ = &pool.outPortBusy_[i * numOutPorts_];
+    switchBest_ = &pool.switchBest_[i * numOutPorts_];
+    scratch_ = CandidateList(&pool.candidates_[i * netVcs], netVcs);
+    sentFlits = FixedVec<SentFlit>(&pool.sentFlits_[i * numOutPorts_],
+                                   numOutPorts_);
+    sentCredits = FixedVec<SentCredit>(
+        &pool.sentCredits_[i * numOutPorts_], numOutPorts_);
+    sentBkills =
+        FixedVec<SentBkill>(&pool.sentBkills_[i * netVcs], netVcs);
+    sentAborts = FixedVec<SentAbort>(
+        &pool.sentAborts_[i * pool.injVcs_], pool.injVcs_);
 }
 
 Router::InputVc&

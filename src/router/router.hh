@@ -16,16 +16,17 @@
  * injection channels from the local NIC. Output ports [0, 2n) are
  * network links, [2n, 2n+E) are ejection channels to the local NIC.
  *
- * Storage layout: all mutable per-VC state (flit slots, input/output
- * VC state machines, stored kill tokens, round-robin pointers,
- * port-busy scratch) lives
- * in a `Router::StatePool` — per-field arrays spanning every router
- * of one network, indexed by node id. Each Router instance holds raw
- * base pointers into its pool slice, so the hot path is unchanged
- * while a shard worker ticking a contiguous node range walks
- * cache-dense memory (docs/PERFORMANCE.md). A Router constructed
- * without an external pool owns a private single-node pool, keeping
- * standalone use (unit tests) source-compatible.
+ * Storage layout: every fixed-size per-router array (flit slots,
+ * input/output VC state machines, stored kill tokens, round-robin
+ * pointers, port-busy and switch-nomination scratch, the candidate
+ * list and the four outboxes) lives in a `Router::StatePool` —
+ * per-field arrays spanning every router of one network, indexed by
+ * node id and sized once at construction. Each Router holds raw base
+ * pointers into its pool slice, so a shard worker ticking a
+ * contiguous node range walks cache-dense memory and building a
+ * network costs a constant number of allocations
+ * (docs/PERFORMANCE.md). A router is always pool-backed; a unit test
+ * builds a one-node pool.
  *
  * Kill machinery (the CR-specific part):
  *  - A forward Kill token arriving at an input VC purges the worm's
@@ -46,14 +47,15 @@
 #define CRNET_ROUTER_ROUTER_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/core/annotations.hh"
 #include "src/router/buffer.hh"
 #include "src/router/flit.hh"
 #include "src/routing/routing.hh"
+#include "src/sim/arena.hh"
 #include "src/sim/config.hh"
+#include "src/sim/fixed_vec.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/types.hh"
@@ -163,15 +165,26 @@ class Router
         Cycle quarantineUntil = 0;
     };
 
+    /**
+     * The best switch nomination for one output port so far: the input
+     * VC whose port is nearest after the output's round-robin pointer.
+     */
+    struct SwitchReq
+    {
+        PortId inPort = kInvalidPort;  //!< kInvalidPort: no request.
+        VcId inVc = kInvalidVc;
+        PortId dist = 0;  //!< Round-robin distance of inPort.
+    };
+
   public:
     /**
      * Structure-of-arrays backing store for every router of one
      * network: flit slots, input/output VC state, round-robin
-     * pointers and port-busy scratch live in contiguous per-field
-     * arrays indexed by node id. A shard worker ticking a contiguous
-     * node range therefore walks adjacent cache lines instead of
-     * pointer-chasing per-router heaps, and the flat flit array
-     * leaves the switch-allocation inner loops SIMD-ready.
+     * pointers, per-cycle scratch and outboxes live in contiguous
+     * per-field arrays indexed by node id. A shard worker ticking a
+     * contiguous node range therefore walks adjacent cache lines
+     * instead of pointer-chasing per-router heaps, and the flat flit
+     * array leaves the switch-allocation inner loops SIMD-ready.
      */
     class StatePool
     {
@@ -184,30 +197,47 @@ class Router
 
         std::uint64_t nodes() const { return nodes_; }
 
-        /** Bytes held by the pool arrays (capacity accounting). */
+        /** Bytes held by the pool arrays. */
         std::size_t bytes() const;
 
       private:
         friend class Router;
 
         std::uint64_t nodes_;
+        PortId netPorts_;
         PortId inPorts_;
         PortId outPorts_;
         std::uint32_t vcs_;
+        std::uint32_t injVcs_;  //!< Injection channels x VCs.
         std::size_t depth_;
 
-        std::vector<Flit> flitSlots_;   //!< [node][inPort][vc][depth].
-        std::vector<InputVc> inputs_;   //!< [node][inPort][vc].
+        /** One block holding every array below. */
+        Arena arena_;
+        Flit* flitSlots_;        //!< [node][inPort][vc][depth].
+        InputVc* inputs_;        //!< [node][inPort][vc].
         /** Stored kill token per input VC (cold; parallel to inputs_). */
-        std::vector<Flit> killFlits_;   //!< [node][inPort][vc].
-        std::vector<OutputVc> outputs_; //!< [node][outPort][vc].
-        std::vector<VcId> rrInVc_;      //!< [node][inPort].
-        std::vector<PortId> rrOutIn_;   //!< [node][outPort].
-        std::vector<std::uint8_t> outPortBusy_;  //!< [node][outPort].
+        Flit* killFlits_;        //!< [node][inPort][vc].
+        OutputVc* outputs_;      //!< [node][outPort][vc].
+        VcId* rrInVc_;           //!< [node][inPort].
+        PortId* rrOutIn_;        //!< [node][outPort].
+        std::uint8_t* outPortBusy_;  //!< [node][outPort].
+        SwitchReq* switchBest_;      //!< [node][outPort].
+        /** Routing candidates: each (network port, VC) at most once. */
+        Candidate* candidates_;      //!< [node][netPort][vc].
+        // Outboxes, at their per-tick bounds: one flit and one credit
+        // per output port (one switch winner or kill token each), one
+        // backward kill or abort per input VC (each idles at most once
+        // per tick).
+        SentFlit* sentFlits_;      //!< [node][outPort].
+        SentCredit* sentCredits_;  //!< [node][outPort].
+        SentBkill* sentBkills_;    //!< [node][netPort][vc].
+        SentAbort* sentAborts_;    //!< [node][injCh][vc].
     };
 
     /**
-     * Standalone router owning a private single-node StatePool.
+     * Router for node `id`, backed by slice `poolIndex` of `pool`. The
+     * pool must outlive the router; its arrays never reallocate (they
+     * are sized once at construction).
      *
      * @param id     Node this router serves.
      * @param cfg    Simulation configuration.
@@ -216,16 +246,14 @@ class Router
      * @param rng    Private stream for arbitration tie-breaks.
      */
     Router(NodeId id, const SimConfig& cfg,
-           const RoutingAlgorithm& algo, RouterStats* stats, Rng rng);
-
-    /**
-     * Pool-backed router: mutable VC state lives in `pool` at slice
-     * `poolIndex`. The pool must outlive the router and its arrays
-     * must never reallocate (they are sized once at construction).
-     */
-    Router(NodeId id, const SimConfig& cfg,
            const RoutingAlgorithm& algo, RouterStats* stats, Rng rng,
            StatePool& pool, std::uint64_t poolIndex);
+
+    // Copies would alias the pool slice; moves exist only so routers
+    // can live in a reserved std::vector.
+    Router(const Router&) = delete;
+    Router& operator=(const Router&) = delete;
+    Router(Router&&) noexcept = default;
 
     NodeId id() const { return id_; }
     PortId numInPorts() const { return numInPorts_; }
@@ -285,10 +313,10 @@ class Router
     void onOutputLinkRepaired(PortId out_port, Cycle now);
 
     // --- Outboxes (valid after tick; cleared at next tick) -----------
-    std::vector<SentFlit> sentFlits;
-    std::vector<SentCredit> sentCredits;
-    std::vector<SentBkill> sentBkills;
-    std::vector<SentAbort> sentAborts;
+    FixedVec<SentFlit> sentFlits;
+    FixedVec<SentCredit> sentCredits;
+    FixedVec<SentBkill> sentBkills;
+    FixedVec<SentAbort> sentAborts;
 
     // --- Introspection (tests, watchdog) ------------------------------
 
@@ -366,9 +394,7 @@ class Router
      * input/output VC state machines, pending backward kills,
      * round-robin pointers, heat counters and the RNG stream. The
      * outboxes and per-cycle scratch (outPortBusy_, switchBest_) are
-     * reset within every tick and need not round-trip. The byte stream
-     * is identical whether the router is standalone or pool-backed
-     * (state is walked per-router in node order either way).
+     * reset within every tick and need not round-trip.
      */
     template <typename Io>
     void serialize(Io& io);
@@ -377,20 +403,6 @@ class Router
     void setRng(const Rng& rng) { rng_ = rng; }
 
   private:
-    /**
-     * The best switch nomination for one output port so far: the input
-     * VC whose port is nearest after the output's round-robin pointer.
-     */
-    struct SwitchReq
-    {
-        PortId inPort = kInvalidPort;  //!< kInvalidPort: no request.
-        VcId inVc = kInvalidVc;
-        PortId dist = 0;  //!< Round-robin distance of inPort.
-    };
-
-    /** Bind the pool slice at `index` and initialize its fields. */
-    void attach(StatePool& pool, std::uint64_t index);
-
     InputVc& ivc(PortId p, VcId v);
     const InputVc& ivc(PortId p, VcId v) const;
     Flit& killFlit(PortId p, VcId v);
@@ -429,9 +441,6 @@ class Router
     PortId numOutPorts_;
     std::uint32_t numVcs_;
 
-    /** Private pool for the standalone constructor (else null). */
-    std::unique_ptr<StatePool> selfPool_;
-
     // Base pointers into this router's StatePool slice. [port][vc]
     // flattened, exactly like the historical per-router vectors.
     InputVc* inputs_ = nullptr;
@@ -440,8 +449,20 @@ class Router
     VcId* rrInVc_ = nullptr;     //!< Round-robin, per input port.
     PortId* rrOutIn_ = nullptr;  //!< Round-robin, per output port.
     std::uint8_t* outPortBusy_ = nullptr;  //!< Per-cycle scratch.
+    /**
+     * Best nomination per output port. Every entry is empty between
+     * ticks: allocateSwitch fills and drains it.
+     */
+    SwitchReq* switchBest_ = nullptr;
+    /** Candidate list for one header (avoids per-header allocation). */
+    CandidateList scratch_;
 
-    /** Backward kills accepted last delivery, processed this tick. */
+    /**
+     * Backward kills accepted last delivery, processed this tick. Its
+     * length depends on traffic (a receiver's starvation sweep can
+     * address one ejection VC several times), so like the NIC's
+     * source queue it keeps its own storage.
+     */
     std::vector<SentBkill> pendingBkillsAsOut_;
 
     /** Heat counters (empty unless setHeatTracking(true)). */
@@ -452,15 +473,6 @@ class Router
 
     /** Current cycle (set at tick entry; used by helpers). */
     Cycle now_ = 0;
-
-    /** Scratch candidate list (avoids per-header allocation). */
-    mutable std::vector<Candidate> scratch_;
-
-    /**
-     * Best nomination per output port, sized once in attach(). Every
-     * entry is empty between ticks: allocateSwitch fills and drains it.
-     */
-    std::vector<SwitchReq> switchBest_;
 };
 
 } // namespace crnet

@@ -79,7 +79,7 @@ DorRouting::dorPort(NodeId node, const Flit& head) const
 
 void
 DorRouting::candidates(NodeId node, const Flit& head,
-                       std::vector<Candidate>& out, Rng& rng) const
+                       CandidateList& out, Rng& rng) const
 {
     const PortId port = dorPort(node, head);
     if (!faults_.linkOk(node, port))

@@ -7,7 +7,7 @@ namespace crnet {
 namespace {
 
 void
-shuffleTail(std::vector<Candidate>& out, std::size_t first, Rng& rng)
+shuffleTail(CandidateList& out, std::size_t first, Rng& rng)
 {
     for (std::size_t i = out.size(); i > first + 1; --i) {
         const std::size_t j =
@@ -32,7 +32,7 @@ DuatoRouting::DuatoRouting(const Topology& topo, const FaultModel& faults,
 
 void
 DuatoRouting::candidates(NodeId node, const Flit& head,
-                         std::vector<Candidate>& out, Rng& rng) const
+                         CandidateList& out, Rng& rng) const
 {
     // Adaptive class first: fully adaptive minimal on VCs
     // [escapeVcs_, numVcs).

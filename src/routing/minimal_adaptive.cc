@@ -8,7 +8,7 @@ namespace {
 
 /** Fisher-Yates shuffle of candidates in [first, out.size()). */
 void
-shuffleTail(std::vector<Candidate>& out, std::size_t first, Rng& rng)
+shuffleTail(CandidateList& out, std::size_t first, Rng& rng)
 {
     for (std::size_t i = out.size(); i > first + 1; --i) {
         const std::size_t j =
@@ -28,7 +28,7 @@ MinimalAdaptiveRouting::MinimalAdaptiveRouting(const Topology& topo,
 
 void
 MinimalAdaptiveRouting::candidates(NodeId node, const Flit& head,
-                                   std::vector<Candidate>& out,
+                                   CandidateList& out,
                                    Rng& rng) const
 {
     const std::size_t base = out.size();

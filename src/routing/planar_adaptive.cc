@@ -7,7 +7,7 @@ namespace crnet {
 namespace {
 
 void
-shuffleTail(std::vector<Candidate>& out, std::size_t first, Rng& rng)
+shuffleTail(CandidateList& out, std::size_t first, Rng& rng)
 {
     for (std::size_t i = out.size(); i > first + 1; --i) {
         const std::size_t j =
@@ -32,7 +32,7 @@ PlanarAdaptiveRouting::PlanarAdaptiveRouting(const Topology& topo,
 
 void
 PlanarAdaptiveRouting::candidates(NodeId node, const Flit& head,
-                                  std::vector<Candidate>& out,
+                                  CandidateList& out,
                                   Rng& rng) const
 {
     // 2D planar-adaptive routing (Chien & Kim), specialized to the

@@ -22,7 +22,7 @@ RoutingAlgorithm::isEscapeVc(VcId) const
 }
 
 void
-RoutingAlgorithm::appendVcRange(std::vector<Candidate>& out, PortId port,
+RoutingAlgorithm::appendVcRange(CandidateList& out, PortId port,
                                 VcId first, VcId last, bool escape,
                                 bool misroute) const
 {

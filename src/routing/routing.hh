@@ -17,11 +17,11 @@
 #define CRNET_ROUTING_ROUTING_HH
 
 #include <memory>
-#include <vector>
 
 #include "src/fault/fault_model.hh"
 #include "src/router/flit.hh"
 #include "src/sim/config.hh"
+#include "src/sim/fixed_vec.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/types.hh"
 #include "src/topology/topology.hh"
@@ -38,6 +38,13 @@ struct Candidate
     /** True when this option moves away from the destination. */
     bool misroute = false;
 };
+
+/**
+ * Candidate output list, bound to caller storage. Every relation
+ * emits each (network port, VC) pair at most once, so storage for
+ * `2 * dimensionsN * numVcs` entries always suffices.
+ */
+using CandidateList = FixedVec<Candidate>;
 
 /**
  * Abstract routing relation. Implementations are stateless with
@@ -67,7 +74,7 @@ class RoutingAlgorithm
      * Dead links must not be emitted.
      */
     virtual void candidates(NodeId node, const Flit& head,
-                            std::vector<Candidate>& out,
+                            CandidateList& out,
                             Rng& rng) const = 0;
 
     /**
@@ -96,7 +103,7 @@ class RoutingAlgorithm
 
   protected:
     /** Append candidates for every VC in [first, last) on `port`. */
-    void appendVcRange(std::vector<Candidate>& out, PortId port,
+    void appendVcRange(CandidateList& out, PortId port,
                        VcId first, VcId last, bool escape = false,
                        bool misroute = false) const;
 
@@ -121,7 +128,7 @@ class DorRouting : public RoutingAlgorithm
                std::uint32_t num_vcs);
 
     void candidates(NodeId node, const Flit& head,
-                    std::vector<Candidate>& out, Rng& rng) const override;
+                    CandidateList& out, Rng& rng) const override;
     void onTraverse(NodeId node, PortId port, Flit& head) const override;
     bool selfDeadlockFree() const override;
 
@@ -151,7 +158,7 @@ class MinimalAdaptiveRouting : public RoutingAlgorithm
                            std::uint32_t num_vcs);
 
     void candidates(NodeId node, const Flit& head,
-                    std::vector<Candidate>& out, Rng& rng) const override;
+                    CandidateList& out, Rng& rng) const override;
     bool selfDeadlockFree() const override { return false; }
 };
 
@@ -170,7 +177,7 @@ class DuatoRouting : public RoutingAlgorithm
                  std::uint32_t num_vcs);
 
     void candidates(NodeId node, const Flit& head,
-                    std::vector<Candidate>& out, Rng& rng) const override;
+                    CandidateList& out, Rng& rng) const override;
     void onTraverse(NodeId node, PortId port, Flit& head) const override;
     bool isEscapeVc(VcId vc) const override;
     bool selfDeadlockFree() const override { return true; }
@@ -202,7 +209,7 @@ class TurnModelRouting : public RoutingAlgorithm
                      std::uint32_t num_vcs, Variant variant);
 
     void candidates(NodeId node, const Flit& head,
-                    std::vector<Candidate>& out, Rng& rng) const override;
+                    CandidateList& out, Rng& rng) const override;
     bool selfDeadlockFree() const override { return true; }
 
   private:
@@ -225,7 +232,7 @@ class PlanarAdaptiveRouting : public RoutingAlgorithm
                           std::uint32_t num_vcs);
 
     void candidates(NodeId node, const Flit& head,
-                    std::vector<Candidate>& out, Rng& rng) const override;
+                    CandidateList& out, Rng& rng) const override;
     bool selfDeadlockFree() const override { return true; }
 };
 

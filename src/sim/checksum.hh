@@ -36,16 +36,22 @@ makeCrc8Table()
     return table;
 }
 
+/**
+ * The lookup table, one object per program. (A function-local
+ * constexpr table is rebuilt on the stack on every call.)
+ */
+inline constexpr std::array<std::uint8_t, 256> kCrc8Table =
+    makeCrc8Table();
+
 } // namespace detail
 
 /** CRC-8/SMBUS over a byte stream (init 0, poly 0x07, no reflection). */
 constexpr std::uint8_t
 crc8(const std::uint8_t* data, std::size_t len)
 {
-    constexpr auto table = detail::makeCrc8Table();
     std::uint8_t crc = 0;
     for (std::size_t i = 0; i < len; ++i)
-        crc = table[static_cast<std::size_t>(crc ^ data[i])];
+        crc = detail::kCrc8Table[static_cast<std::size_t>(crc ^ data[i])];
     return crc;
 }
 
@@ -75,6 +81,10 @@ makeCrc32Table()
     return table;
 }
 
+/** The CRC-32 lookup table, one object per program. */
+inline constexpr std::array<std::uint32_t, 256> kCrc32Table =
+    makeCrc32Table();
+
 } // namespace detail
 
 /**
@@ -89,10 +99,9 @@ constexpr std::uint32_t
 crc32(const std::uint8_t* data, std::size_t len,
       std::uint32_t seed = 0)
 {
-    constexpr auto table = detail::makeCrc32Table();
     std::uint32_t crc = ~seed;
     for (std::size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+        crc = detail::kCrc32Table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
     return ~crc;
 }
 

@@ -373,8 +373,15 @@ lengthPrefixed(Io& io, Seq& seq, Field&& field)
     io.length(n);
     if constexpr (Io::kLoading) {
         seq.clear();
-        if constexpr (requires { seq.reserve(n); })
+        if constexpr (requires { seq.reserve(n); }) {
             seq.reserve(static_cast<std::size_t>(n));
+        } else if constexpr (requires { seq.capacity(); }) {
+            // A fixed-capacity list (a pool slice) cannot grow.
+            if (n > seq.capacity())
+                panic("snapshot sequence of ", n, " entries exceeds "
+                      "its capacity ", seq.capacity(),
+                      " (version skew or serialization bug)");
+        }
         for (std::uint64_t i = 0; i < n; ++i) {
             typename Seq::value_type v{};
             field(v);

@@ -9,9 +9,14 @@
  * bookkeeping (assemblies, seen-sequence sets, source queues) by
  * design; this test pins down the per-cycle engine overhead.
  *
+ * Construction is audited too: a network's routers, injectors and
+ * receivers live in node-ordered arrays and per-network pools, so
+ * building one costs a constant number of allocations plus what each
+ * node's traffic-sized containers start with.
+ *
  * The counter instruments the global operator new/delete. gtest's own
- * machinery allocates too, so the counted window is exactly the
- * net.run() call between two counter reads.
+ * machinery allocates too, so each counted window is exactly the
+ * call between two counter reads.
  */
 
 #include <gtest/gtest.h>
@@ -123,6 +128,75 @@ TEST(AllocSteady, ActiveSchedulerTicksWithoutAllocating)
 TEST(AllocSteady, SweepSchedulerTicksWithoutAllocating)
 {
     expectZeroAllocSteadyState(SchedulerKind::Sweep);
+}
+
+/** perfbench's torus256_sat geometry on a k-ary 2-cube. */
+SimConfig
+saturatedTorusCfg(std::uint32_t k)
+{
+    SimConfig cfg;
+    cfg.topology = TopologyKind::Torus;
+    cfg.radixK = k;
+    cfg.dimensionsN = 2;
+    cfg.numVcs = 2;
+    cfg.bufferDepth = 2;
+    cfg.routing = RoutingKind::MinimalAdaptive;
+    cfg.protocol = ProtocolKind::Cr;
+    cfg.pattern = TrafficPattern::Uniform;
+    cfg.messageLength = 16;
+    cfg.timeout = 8;
+    cfg.injectionRate = 0.3;
+    cfg.seed = 1;
+    cfg.jobs = 1;
+    cfg.shards = 1;
+    return cfg;
+}
+
+/** Global operator new calls made by constructing one Network. */
+std::uint64_t
+constructionAllocs(const SimConfig& cfg)
+{
+    const std::uint64_t before =
+        g_allocs.load(std::memory_order_relaxed);
+    const Network net(cfg);
+    return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocConstruction, GrowsByAtMostTwoPerNode)
+{
+    // The only per-node allocations left are the source queue's: a
+    // std::deque allocates its block map and first block up front.
+    const std::uint64_t a16 = constructionAllocs(saturatedTorusCfg(4));
+    const std::uint64_t a64 = constructionAllocs(saturatedTorusCfg(8));
+    const std::uint64_t a256 =
+        constructionAllocs(saturatedTorusCfg(16));
+    ASSERT_LT(a16, a64);
+    ASSERT_LT(a64, a256);
+    EXPECT_LE(a64 - a16, 2u * (64 - 16))
+        << a16 << " allocations at 16 nodes, " << a64 << " at 64";
+    EXPECT_LE(a256 - a64, 2u * (256 - 64))
+        << a64 << " allocations at 64 nodes, " << a256 << " at 256";
+}
+
+TEST(AllocConstruction, PoolBytesPerNodeArePinned)
+{
+    // Fixed per-node state at the torus256_sat geometry: 5 input and
+    // 5 output ports of 2 VCs, 2-flit buffers, one injection and one
+    // ejection channel. A change that grows it must update these
+    // figures (and docs/PERFORMANCE.md section 9) on purpose.
+    const SimConfig cfg = saturatedTorusCfg(16);
+    const std::uint64_t n = cfg.numNodes();
+    const Router::StatePool routers(cfg, n);
+    const Injector::StatePool injectors(cfg, n);
+    const Receiver::StatePool receivers(cfg, n);
+    EXPECT_EQ(routers.bytes() / n, 3427u);
+    EXPECT_EQ(injectors.bytes() / n, 627u);
+    // Ejection buffers plus the dense per-source sequence row (one
+    // int64 per node of the 256-node network).
+    EXPECT_EQ(receivers.bytes() / n, 2394u);
+    EXPECT_EQ(routers.bytes() % n, 0u);
+    EXPECT_EQ(injectors.bytes() % n, 0u);
+    EXPECT_EQ(receivers.bytes() % n, 0u);
 }
 
 TEST(AllocSteady, CounterInstrumentationWorks)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the flit ring buffer.
+ * Unit tests for the flit ring buffer and the fixed-capacity list
+ * that backs component outboxes.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "src/router/buffer.hh"
+#include "src/sim/fixed_vec.hh"
 
 namespace crnet {
 namespace {
@@ -22,9 +24,22 @@ flitWithSeq(std::uint32_t seq)
     return f;
 }
 
+/** A FlitBuffer bound to `depth` slots of local storage. */
+struct LocalBuffer
+{
+    explicit LocalBuffer(std::size_t depth) : slots(depth)
+    {
+        buf.bind(slots.data(), depth);
+    }
+
+    std::vector<Flit> slots;
+    FlitBuffer buf;
+};
+
 TEST(FlitBuffer, FifoOrder)
 {
-    FlitBuffer b(4);
+    LocalBuffer local(4);
+    FlitBuffer& b = local.buf;
     for (std::uint32_t i = 0; i < 4; ++i)
         b.push(flitWithSeq(i));
     for (std::uint32_t i = 0; i < 4; ++i)
@@ -34,7 +49,8 @@ TEST(FlitBuffer, FifoOrder)
 
 TEST(FlitBuffer, WrapsAroundRepeatedly)
 {
-    FlitBuffer b(3);
+    LocalBuffer local(3);
+    FlitBuffer& b = local.buf;
     std::uint32_t next_push = 0, next_pop = 0;
     for (int round = 0; round < 50; ++round) {
         while (!b.full())
@@ -47,7 +63,8 @@ TEST(FlitBuffer, WrapsAroundRepeatedly)
 
 TEST(FlitBuffer, CapacityAndCounts)
 {
-    FlitBuffer b(2);
+    LocalBuffer local(2);
+    FlitBuffer& b = local.buf;
     EXPECT_EQ(b.capacity(), 2u);
     EXPECT_TRUE(b.empty());
     EXPECT_FALSE(b.full());
@@ -59,21 +76,24 @@ TEST(FlitBuffer, CapacityAndCounts)
 
 TEST(FlitBuffer, OverflowPanics)
 {
-    FlitBuffer b(1);
+    LocalBuffer local(1);
+    FlitBuffer& b = local.buf;
     b.push(flitWithSeq(0));
     EXPECT_DEATH(b.push(flitWithSeq(1)), "overflow");
 }
 
 TEST(FlitBuffer, UnderflowPanics)
 {
-    FlitBuffer b(1);
+    LocalBuffer local(1);
+    FlitBuffer& b = local.buf;
     EXPECT_DEATH(b.pop(), "empty");
     EXPECT_DEATH(b.front(), "empty");
 }
 
 TEST(FlitBuffer, PurgeDropsEverything)
 {
-    FlitBuffer b(4);
+    LocalBuffer local(4);
+    FlitBuffer& b = local.buf;
     b.push(flitWithSeq(0));
     b.push(flitWithSeq(1));
     EXPECT_EQ(b.purge(), 2u);
@@ -86,7 +106,8 @@ TEST(FlitBuffer, PurgeDropsEverything)
 
 TEST(FlitBuffer, FrontMutableEditsInPlace)
 {
-    FlitBuffer b(2);
+    LocalBuffer local(2);
+    FlitBuffer& b = local.buf;
     b.push(flitWithSeq(0));
     b.frontMutable().misrouteBudget = 3;
     EXPECT_EQ(b.front().misrouteBudget, 3u);
@@ -94,7 +115,9 @@ TEST(FlitBuffer, FrontMutableEditsInPlace)
 
 TEST(FlitBuffer, ZeroCapacityPanics)
 {
-    EXPECT_DEATH(FlitBuffer(0), "capacity");
+    Flit slot;
+    FlitBuffer b;
+    EXPECT_DEATH(b.bind(&slot, 0), "capacity");
 }
 
 /** Checks a buffer against a reference FIFO of sequence numbers. */
@@ -147,14 +170,43 @@ TEST(FlitBuffer, WrapMatchesReferenceFifoAtDepthsOneToFive)
 {
     for (std::size_t depth = 1; depth <= 5; ++depth) {
         SCOPED_TRACE(depth);
-        FlitBuffer owned(depth);
-        exerciseWrap(owned);
+        LocalBuffer local(depth);
+        exerciseWrap(local.buf);
 
-        std::vector<Flit> slots(depth);
-        FlitBuffer bound;
-        bound.bind(slots.data(), depth);
-        exerciseWrap(bound);
+        // Rebinding an emptied buffer to another slice restarts the
+        // ring at that slice's first slot.
+        local.buf.purge();
+        std::vector<Flit> other(depth);
+        local.buf.bind(other.data(), depth);
+        exerciseWrap(local.buf);
     }
+}
+
+TEST(FixedVec, KeepsOrderAndRecyclesItsSlice)
+{
+    std::uint32_t slots[3] = {};
+    FixedVec<std::uint32_t> list(slots, 3);
+    for (int round = 0; round < 2; ++round) {
+        list.clear();
+        EXPECT_TRUE(list.empty());
+        for (std::uint32_t i = 0; i < 3; ++i)
+            list.push_back(10 * i + round);
+        ASSERT_EQ(list.size(), 3u);
+        EXPECT_EQ(list.begin(), slots);  // Writes land in the slice.
+        EXPECT_EQ(list[0], 0u + round);
+        EXPECT_EQ(list.back(), 20u + round);
+    }
+}
+
+TEST(FixedVec, PushPastCapacityPanics)
+{
+    // The capacity is a per-tick bound; exceeding it is a bug, never
+    // a reason to grow.
+    std::uint32_t slots[2] = {};
+    FixedVec<std::uint32_t> list(slots, 2);
+    list.push_back(1);
+    list.push_back(2);
+    EXPECT_DEATH(list.push_back(3), "FixedVec overflow: capacity 2");
 }
 
 } // namespace

@@ -77,6 +77,16 @@ TEST(Crc8, ConstexprUsable)
     EXPECT_EQ(c, crc8(0x42ULL));
 }
 
+TEST(Crc32, StandardCheckValue)
+{
+    // The canonical CRC-32 (IEEE 802.3) check: crc32("123456789").
+    const std::uint8_t msg[] = {'1', '2', '3', '4', '5',
+                                '6', '7', '8', '9'};
+    EXPECT_EQ(crc32(msg, sizeof(msg)), 0xCBF43926u);
+    // Incremental use: seeding with the CRC of a prefix continues it.
+    EXPECT_EQ(crc32(msg + 4, 5, crc32(msg, 4)), 0xCBF43926u);
+}
+
 TEST(FlitChecksum, StampAndVerifyRoundTrip)
 {
     Flit f;

@@ -26,11 +26,16 @@ class InjectorTest : public ::testing::Test
         algo = std::make_unique<MinimalAdaptiveRouting>(
             *topo, *faults, cfg.numVcs);
         stats = std::make_unique<NetworkStats>();
-        inj = std::make_unique<Injector>(0, cfg, *topo, *algo,
-                                         stats.get(), Rng(2));
         refStats = std::make_unique<NetworkStats>();
+        // Both injectors serve node 0, from slices 0 and 1 of one pool.
+        inj.reset();
+        ref.reset();
+        pool = std::make_unique<Injector::StatePool>(cfg, 2);
+        inj = std::make_unique<Injector>(0, cfg, *topo, *algo,
+                                         stats.get(), Rng(2), *pool, 0);
         ref = std::make_unique<Injector>(0, cfg, *topo, *algo,
-                                         refStats.get(), Rng(2));
+                                         refStats.get(), Rng(2), *pool,
+                                         1);
     }
 
     PendingMessage
@@ -52,7 +57,7 @@ class InjectorTest : public ::testing::Test
     step()
     {
         inj->tick(now++);
-        return inj->sent;
+        return {inj->sent.begin(), inj->sent.end()};
     }
 
     /**
@@ -82,7 +87,7 @@ class InjectorTest : public ::testing::Test
             EXPECT_EQ(a.flit.seq, b.flit.seq);
             EXPECT_EQ(a.flit.type, b.flit.type);
         }
-        return inj->sent;
+        return {inj->sent.begin(), inj->sent.end()};
     }
 
     /** True when an injection slot is transmitting message `id`. */
@@ -111,6 +116,7 @@ class InjectorTest : public ::testing::Test
     std::unique_ptr<FaultModel> faults;
     std::unique_ptr<MinimalAdaptiveRouting> algo;
     std::unique_ptr<NetworkStats> stats;
+    std::unique_ptr<Injector::StatePool> pool;
     std::unique_ptr<Injector> inj;
     std::unique_ptr<NetworkStats> refStats;
     std::unique_ptr<Injector> ref;

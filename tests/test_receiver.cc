@@ -20,7 +20,9 @@ class ReceiverTest : public ::testing::Test
     rebuild()
     {
         stats = std::make_unique<NetworkStats>();
-        rcv = std::make_unique<Receiver>(3, cfg, stats.get());
+        rcv.reset();
+        pool = std::make_unique<Receiver::StatePool>(cfg, 1);
+        rcv = std::make_unique<Receiver>(3, cfg, stats.get(), *pool, 0);
         delivered.clear();
     }
 
@@ -81,6 +83,7 @@ class ReceiverTest : public ::testing::Test
 
     SimConfig cfg;
     std::unique_ptr<NetworkStats> stats;
+    std::unique_ptr<Receiver::StatePool> pool;
     std::unique_ptr<Receiver> rcv;
     std::vector<DeliveredMessage> delivered;  //!< Drained outboxes.
     Cycle now = 0;

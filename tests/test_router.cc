@@ -31,8 +31,17 @@ class RouterTest : public ::testing::Test
         algo = std::make_unique<MinimalAdaptiveRouting>(*topo, *faults,
                                                         numVcs);
         stats = RouterStats{};
-        router = std::make_unique<Router>(5, cfg, *algo, &stats,
-                                          Rng(2));
+        makeRouter();
+    }
+
+    /** A fresh router for node 5 under `cfg`, in a one-node pool. */
+    void
+    makeRouter()
+    {
+        router.reset();
+        pool = std::make_unique<Router::StatePool>(cfg, 1);
+        router = std::make_unique<Router>(5, cfg, *algo, &stats, Rng(2),
+                                          *pool, 0);
     }
 
     Flit
@@ -54,6 +63,7 @@ class RouterTest : public ::testing::Test
     std::unique_ptr<FaultModel> faults;
     std::unique_ptr<MinimalAdaptiveRouting> algo;
     RouterStats stats;
+    std::unique_ptr<Router::StatePool> pool;
     std::unique_ptr<Router> router;
     Cycle now = 0;
 };
@@ -259,7 +269,7 @@ TEST_F(RouterTest, CorruptedHeaderStallsUnderFcr)
 {
     cfg.protocol = ProtocolKind::Fcr;
     // Rebuild with FCR config.
-    router = std::make_unique<Router>(5, cfg, *algo, &stats, Rng(2));
+    makeRouter();
     Flit h = makeFlit(FlitType::Head, 8, 0, 7);
     h.payload ^= 0xff;  // Break the checksum.
     h.corrupted = true;
@@ -275,7 +285,7 @@ TEST_F(RouterTest, PathWideTimeoutKillsBlockedWorm)
 {
     cfg.timeoutScheme = TimeoutScheme::PathWide;
     cfg.timeout = 4;
-    router = std::make_unique<Router>(5, cfg, *algo, &stats, Rng(2));
+    makeRouter();
 
     // Block: two worms to dst 6 (single minimal port); the loser
     // waits in Routing state until the path-wide timer fires.
@@ -331,7 +341,7 @@ TEST_F(RouterTest, DropAtBlockRejectsOnlyBlockedHeaders)
 {
     cfg.timeoutScheme = TimeoutScheme::DropAtBlock;
     cfg.timeout = 4;
-    router = std::make_unique<Router>(5, cfg, *algo, &stats, Rng(2));
+    makeRouter();
 
     // Worm 1 holds the only minimal port toward 6 and then *stalls
     // mid-body* (no credits returned): DropAtBlock must NOT kill it —

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/routing/routing.hh"
+#include "tests/candidate_buffer.hh"
 
 namespace crnet {
 namespace {
@@ -37,7 +38,7 @@ class AdaptiveTest : public ::testing::Test
     std::set<PortId>
     candidatePorts(NodeId node, const Flit& head)
     {
-        std::vector<Candidate> out;
+        CandidateBuffer out;
         algo.candidates(node, head, out, rng);
         std::set<PortId> ports;
         for (const Candidate& c : out)
@@ -71,7 +72,7 @@ TEST_F(AdaptiveTest, HalfwayPointOffersBothWays)
 
 TEST_F(AdaptiveTest, EveryVcIsOffered)
 {
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     algo.candidates(0, headTo(1), out, rng);
     ASSERT_EQ(out.size(), 2u);  // 1 port x 2 VCs.
     std::set<VcId> vcs;
@@ -87,7 +88,7 @@ TEST_F(AdaptiveTest, CandidatesAreAllMinimal)
             if (src == dst)
                 continue;
             const Flit h = headTo(dst);
-            std::vector<Candidate> out;
+            CandidateBuffer out;
             algo.candidates(src, h, out, rng);
             ASSERT_FALSE(out.empty());
             const std::uint32_t d = topo.distance(src, dst);
@@ -108,7 +109,7 @@ TEST_F(AdaptiveTest, OrderIsRandomizedAcrossCalls)
     const Flit h = headTo(2 + 3 * 8);
     std::set<std::pair<PortId, VcId>> firsts;
     for (int i = 0; i < 64; ++i) {
-        std::vector<Candidate> out;
+        CandidateBuffer out;
         algo.candidates(0, h, out, rng);
         firsts.insert({out[0].port, out[0].vc});
     }
@@ -133,7 +134,7 @@ TEST_F(AdaptiveTest, AllMinimalLinksDeadMeansNoCandidates)
 
 TEST_F(AdaptiveTest, MisrouteBudgetAddsNonMinimalAfterMinimal)
 {
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     algo.candidates(0, headTo(2, 2), out, rng);
     // Minimal: +x (2 VCs). Non-minimal: -x, +y, -y (2 VCs each).
     ASSERT_EQ(out.size(), 8u);
@@ -147,7 +148,7 @@ TEST_F(AdaptiveTest, MisrouteEscapesDeadMinimalLinks)
 {
     faults.killDirectedLink(0, makePort(0, Direction::Plus));
     faults.killDirectedLink(0, makePort(0, Direction::Minus));
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     algo.candidates(0, headTo(2, 2), out, rng);
     ASSERT_FALSE(out.empty());
     for (const Candidate& c : out) {
@@ -173,7 +174,7 @@ TEST(AdaptiveMesh, RespectsBoundaries)
     h.type = FlitType::Head;
     h.dst = 15;
     h.misrouteBudget = 2;
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     algo.candidates(0, h, out, rng);
     for (const Candidate& c : out)
         EXPECT_NE(topo.neighbor(0, c.port), kInvalidNode);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/routing/routing.hh"
+#include "tests/candidate_buffer.hh"
 
 namespace crnet {
 namespace {
@@ -55,7 +56,7 @@ TEST_F(DorTorusTest, PicksShorterWayAround)
 TEST_F(DorTorusTest, CandidatesFollowDatelineClasses)
 {
     // 0 -> 2 in +x never crosses the dateline: class 1 (VC 1 of 2).
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     dor.candidates(0, headTo(2), out, rng);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].port, makePort(0, Direction::Plus));
@@ -83,7 +84,7 @@ TEST_F(DorTorusTest, CandidatesFollowDatelineClasses)
 TEST_F(DorTorusTest, MinusDirectionDatelineSymmetric)
 {
     // 1 -> 6 in -x crosses 0 -> 7 later: class 0 at node 1.
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     dor.candidates(1, headTo(6), out, rng);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].port, makePort(0, Direction::Minus));
@@ -99,7 +100,7 @@ TEST_F(DorTorusTest, MinusDirectionDatelineSymmetric)
 TEST_F(DorTorusTest, DeadDorLinkYieldsNoCandidates)
 {
     faults.killDirectedLink(0, makePort(0, Direction::Plus));
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     dor.candidates(0, headTo(2), out, rng);
     EXPECT_TRUE(out.empty());
 }
@@ -117,7 +118,7 @@ TEST(DorLanes, FourVcsSplitTwoPerClass)
     FaultModel faults(topo, 0.0, Rng(1));
     DorRouting dor(topo, faults, 4);
     Rng rng(3);
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     // Never-crossing path: class 1 lanes are VCs {2, 3}.
     dor.candidates(0, [] {
         Flit f;
@@ -137,7 +138,7 @@ TEST(DorMesh, AllVcsAreLanes)
     DorRouting dor(topo, faults, 3);
     EXPECT_TRUE(dor.selfDeadlockFree());
     Rng rng(4);
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     Flit h;
     h.type = FlitType::Head;
     h.dst = 5;
@@ -158,7 +159,7 @@ TEST(DorMesh, NeverRoutesOffTheEdge)
             Flit h;
             h.type = FlitType::Head;
             h.dst = dst;
-            std::vector<Candidate> out;
+            CandidateBuffer out;
             dor.candidates(src, h, out, rng);
             ASSERT_EQ(out.size(), 1u);
             EXPECT_NE(topo.neighbor(src, out[0].port), kInvalidNode);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/routing/routing.hh"
+#include "tests/candidate_buffer.hh"
 
 namespace crnet {
 namespace {
@@ -45,7 +46,7 @@ TEST_F(DuatoTorusTest, TwoEscapeVcsOnTorus)
 
 TEST_F(DuatoTorusTest, AdaptiveFirstEscapeLast)
 {
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     algo.candidates(0, headTo(2 + 3 * 8), out, rng);
     // 2 minimal ports x 1 adaptive VC + 1 escape.
     ASSERT_EQ(out.size(), 3u);
@@ -62,7 +63,7 @@ TEST_F(DuatoTorusTest, AdaptiveFirstEscapeLast)
 
 TEST_F(DuatoTorusTest, EscapeVcFollowsDatelineClass)
 {
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     // Path 6 -> 1 (+x) crosses the dateline later: escape class 0.
     algo.candidates(6, headTo(1), out, rng);
     ASSERT_FALSE(out.empty());
@@ -84,7 +85,7 @@ TEST_F(DuatoTorusTest, EscapeAlwaysPresentOnHealthyNetwork)
         for (NodeId dst = 0; dst < topo.numNodes(); dst += 7) {
             if (src == dst)
                 continue;
-            std::vector<Candidate> out;
+            CandidateBuffer out;
             algo.candidates(src, headTo(dst), out, rng);
             ASSERT_FALSE(out.empty());
             EXPECT_TRUE(out.back().escape)
@@ -105,7 +106,7 @@ TEST(DuatoMesh, OneEscapeVcSuffices)
     DuatoRouting algo(topo, faults, 2);
     EXPECT_EQ(algo.numEscapeVcs(), 1u);
     Rng rng(3);
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     Flit h;
     h.type = FlitType::Head;
     h.dst = 15;

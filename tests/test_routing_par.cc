@@ -7,6 +7,7 @@
 
 #include "src/core/network.hh"
 #include "src/routing/routing.hh"
+#include "tests/candidate_buffer.hh"
 
 namespace crnet {
 namespace {
@@ -45,7 +46,7 @@ class ParTest : public ::testing::Test
 TEST_F(ParTest, IncreasingTrafficUsesXClass0AndYPlus)
 {
     // (1,1) -> (4,4): dy > 0 => increasing network.
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     par.candidates(at(1, 1), headTo(at(4, 4)), out, rng);
     ASSERT_EQ(out.size(), 2u);  // x+ on vc0, y+ on vc2.
     for (const Candidate& c : out) {
@@ -62,7 +63,7 @@ TEST_F(ParTest, IncreasingTrafficUsesXClass0AndYPlus)
 TEST_F(ParTest, DecreasingTrafficUsesXClass1AndYMinus)
 {
     // (4,4) -> (1,1): dy < 0 => decreasing network.
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     par.candidates(at(4, 4), headTo(at(1, 1)), out, rng);
     ASSERT_EQ(out.size(), 2u);
     for (const Candidate& c : out) {
@@ -78,7 +79,7 @@ TEST_F(ParTest, DecreasingTrafficUsesXClass1AndYMinus)
 
 TEST_F(ParTest, PureXTrafficRidesTheIncreasingNetwork)
 {
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     par.candidates(at(1, 3), headTo(at(6, 3)), out, rng);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].port, makePort(0, Direction::Plus));
@@ -88,7 +89,7 @@ TEST_F(ParTest, PureXTrafficRidesTheIncreasingNetwork)
 TEST_F(ParTest, ExtraVcsBecomeYLanes)
 {
     PlanarAdaptiveRouting par5(topo, faults, 5);
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     par5.candidates(at(1, 1), headTo(at(1, 5)), out, rng);
     ASSERT_EQ(out.size(), 3u);  // y+ on VCs 2,3,4.
     for (const Candidate& c : out) {
@@ -103,7 +104,7 @@ TEST_F(ParTest, AllCandidatesMinimalEverywhere)
         for (NodeId dst = 0; dst < topo.numNodes(); dst += 5) {
             if (src == dst)
                 continue;
-            std::vector<Candidate> out;
+            CandidateBuffer out;
             par.candidates(src, headTo(dst), out, rng);
             ASSERT_FALSE(out.empty());
             for (const Candidate& c : out) {

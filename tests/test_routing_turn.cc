@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/routing/routing.hh"
+#include "tests/candidate_buffer.hh"
 
 namespace crnet {
 namespace {
@@ -25,7 +26,7 @@ headTo(NodeId dst)
 std::set<PortId>
 ports(const RoutingAlgorithm& algo, NodeId node, NodeId dst, Rng& rng)
 {
-    std::vector<Candidate> out;
+    CandidateBuffer out;
     algo.candidates(node, headTo(dst), out, rng);
     std::set<PortId> p;
     for (const Candidate& c : out)
@@ -110,7 +111,7 @@ TEST_F(TurnTest, AllCandidatesAreMinimalEverywhere)
             for (const RoutingAlgorithm* algo :
                  {static_cast<const RoutingAlgorithm*>(&wf),
                   static_cast<const RoutingAlgorithm*>(&nf)}) {
-                std::vector<Candidate> out;
+                CandidateBuffer out;
                 algo->candidates(src, headTo(dst), out, rng);
                 ASSERT_FALSE(out.empty())
                     << "no route " << src << "->" << dst;

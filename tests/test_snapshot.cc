@@ -24,6 +24,7 @@
 #include "src/router/router.hh"
 #include "src/sim/checksum.hh"
 #include "src/sim/config.hh"
+#include "src/sim/fixed_vec.hh"
 #include "src/sim/snapshot.hh"
 #include "src/topology/topology.hh"
 #include "src/traffic/generator.hh"
@@ -438,7 +439,8 @@ TEST(SnapshotPayloadDeath, OutOfRangeSourceInDenseReceiverTable)
 {
     const SimConfig cfg = snapConfig(SchedulerKind::Active);
     NetworkStats stats;
-    Receiver rcv(3, cfg, &stats);  // 16 nodes: dense last-seq table.
+    Receiver::StatePool pool(cfg, 1);  // 16 nodes: dense last-seq table.
+    Receiver rcv(3, cfg, &stats, pool, 0);
     StateWriter fresh;
     rcv.serialize(fresh);
     // A fresh receiver's payload ends with the last-seq count, the
@@ -509,6 +511,22 @@ TEST(SnapshotPayloadDeath, CountBeyondPayloadPanicsBeforeAllocating)
     }
 }
 
+TEST(SnapshotPayloadDeath, CountBeyondFixedListCapacity)
+{
+    // A pool-slice list (such as the injector's retry list) cannot
+    // grow, so a payload count above its capacity is refused.
+    StateWriter w;
+    w.u64(3);
+    for (std::uint32_t i = 0; i < 3; ++i)
+        w.u32(i);
+    std::uint32_t slots[2] = {};
+    FixedVec<std::uint32_t> list(slots, 2);
+    StateReader r(w.bytes());
+    EXPECT_DEATH(lengthPrefixed(r, list,
+                                [&r](std::uint32_t& v) { r.u32(v); }),
+                 "3 entries exceeds its capacity 2");
+}
+
 TEST(SnapshotPayloadDeath, ConfigFixedShapeMismatchPanics)
 {
     // Sizes and presence bits the config fixes are written on save
@@ -568,7 +586,8 @@ TEST(SnapshotPayloadDeath, OutOfRangePortOrVcInRouterState)
     FaultModel faults(*topo, 0.0, Rng(1));
     auto algo = makeRouting(cfg, *topo, faults);
     RouterStats stats;
-    Router router(0, cfg, *algo, &stats, Rng(2));
+    Router::StatePool pool(cfg, 1);
+    Router router(0, cfg, *algo, &stats, Rng(2), pool, 0);
     StateWriter fresh;
     router.serialize(fresh);
     // 5 input and 5 output ports of 2 VCs. The payload ends with the
@@ -610,7 +629,8 @@ TEST(SnapshotPayloadDeath, BadBusyDestinationsOrRoundRobinInInjector)
     FaultModel faults(*topo, 0.0, Rng(1));
     auto algo = makeRouting(cfg, *topo, faults);
     NetworkStats stats;
-    Injector inj(0, cfg, *topo, *algo, &stats, Rng(2));
+    Injector::StatePool pool(cfg, 1);
+    Injector inj(0, cfg, *topo, *algo, &stats, Rng(2), pool, 0);
     StateWriter fresh;
     inj.serialize(fresh);
     // A fresh injector's payload ends with the busy-destination count
